@@ -3,16 +3,22 @@
 //! Explores every reachable global state of a small configuration with
 //! the real transition functions and checks the safety invariants at
 //! each one. Exits 0 on a clean fixpoint, 1 with a counterexample trace
-//! on a violation (or on bad arguments).
+//! on a violation (or on bad arguments). The summary line reports the
+//! host seconds the exploration took and its states/s and
+//! transitions/s.
 //!
 //! ```text
 //! cgct-verify [--nodes N] [--lines L] [--protocol P] [--clusters C]
 //!             [--mutate FAULT] [--no-self-invalidation]
 //! ```
+#![allow(clippy::disallowed_types)]
+// ^ clippy mirror of D001 (clippy.toml): host-facing binary — the
+// throughput line times the exploration, as cgct-lint exempts src/bin/.
 
 use cgct_verify::checker::explore;
 use cgct_verify::model::{GlobalState, ModelConfig, Mutation, Protocol};
 use std::process::ExitCode;
+use std::time::Instant;
 
 const USAGE: &str = "usage: cgct-verify [options]
 
@@ -88,6 +94,16 @@ fn parse(mut args: std::env::Args) -> Result<ModelConfig, String> {
             cfg.clusters
         ));
     }
+    let bits = cfg.encoding_bits();
+    if bits > 128 {
+        return Err(format!(
+            "{} nodes x {} lines under {} need a {bits}-bit state key (max 128); \
+             use fewer --nodes or --lines",
+            cfg.nodes,
+            cfg.lines,
+            cfg.protocol.name()
+        ));
+    }
     match cfg.mutation {
         Mutation::StaleRegionDirCache if cfg.protocol != Protocol::DirectoryCgct => {
             return Err("stale-region-dir-cache requires --protocol dir-cgct".into());
@@ -132,10 +148,16 @@ fn main() -> ExitCode {
         if cfg.self_invalidation { "on" } else { "off" },
         cfg.mutation.name(),
     );
+    let t0 = Instant::now();
     let result = explore(&cfg);
+    let seconds = t0.elapsed().as_secs_f64();
     println!(
-        "explored {} states, {} transitions",
-        result.states, result.transitions
+        "explored {} states, {} transitions in {seconds:.3} s \
+         ({:.0} states/s, {:.0} transitions/s)",
+        result.states,
+        result.transitions,
+        result.states as f64 / seconds,
+        result.transitions as f64 / seconds,
     );
     match result.violation {
         None => {

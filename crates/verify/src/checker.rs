@@ -8,13 +8,19 @@
 //! corrupted state (whose RCA bookkeeping asserts could otherwise mask
 //! the original violation with a panic).
 //!
-//! On a violation the breadth-first parent links reconstruct a
-//! shortest-path counterexample: the event trace from the initial state
-//! to the violating one, with every intermediate state printed.
+//! Steps run in place on one working machine per exploration: it is
+//! reloaded from the expanded state before each event, and the
+//! successor's key is read straight off it. Only a fresh successor is
+//! built as a [`GlobalState`] (to check and to queue).
+//!
+//! On a violation the breadth-first parent links give the events of a
+//! shortest path from the initial state; replaying them through
+//! [`apply`] rebuilds every intermediate state of the counterexample.
 
 use crate::invariants;
-use crate::model::{apply, enabled_events, Event, GlobalState, ModelConfig};
+use crate::model::{apply, enabled_events_into, Event, GlobalState, ModelConfig, Working};
 use cgct_sim::hash::{StableHashMap, StableHashSet};
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 /// One step of a counterexample trace.
@@ -85,71 +91,48 @@ impl ExploreResult {
 pub fn explore(cfg: &ModelConfig) -> ExploreResult {
     cfg.validate();
     let initial = GlobalState::initial(cfg);
+    let initial_key = initial.encode();
 
     // key -> how we first reached it (None for the initial state).
     let mut parents: StableHashMap<u128, Option<(u128, Event)>> = StableHashMap::default();
-    let mut queue: VecDeque<GlobalState> = VecDeque::new();
-    let mut states: u64 = 0;
+    parents.insert(initial_key, None);
+    let mut queue: VecDeque<(u128, GlobalState)> = VecDeque::new();
+    let mut states: u64 = 1;
     let mut transitions: u64 = 0;
 
-    let visit = |state: &GlobalState,
-                 from: Option<(u128, Event)>,
-                 parents: &mut StableHashMap<u128, Option<(u128, Event)>>,
-                 queue: &mut VecDeque<GlobalState>|
-     -> Result<(), String> {
-        let key = state.encode();
-        if parents.contains_key(&key) {
-            return Ok(());
-        }
-        parents.insert(key, from);
-        invariants::check(state)?;
-        queue.push_back(state.clone());
-        Ok(())
-    };
-
-    let mut violation: Option<(u128, String)> = None;
-    if let Err(message) = visit(&initial, None, &mut parents, &mut queue) {
-        violation = Some((initial.encode(), message));
+    let mut violation = invariants::check(&initial)
+        .err()
+        .map(|message| (initial_key, message));
+    if violation.is_none() {
+        queue.push_back((initial_key, initial.clone()));
     }
-    states += 1;
 
-    // Keep every visited state around so parent keys can be decoded back
-    // into states for the trace without re-deriving them.
-    let mut decoded: StableHashMap<u128, GlobalState> = StableHashMap::default();
-    decoded.insert(initial.encode(), initial.clone());
-
-    'bfs: while let Some(state) = queue.pop_front() {
-        let key = state.encode();
-        for event in enabled_events(cfg, &state) {
+    let mut working = Working::new(cfg);
+    let mut events = Vec::new();
+    'bfs: while let Some((key, state)) = queue.pop_front() {
+        enabled_events_into(cfg, &state, &mut events);
+        for &event in &events {
             transitions += 1;
-            let next = apply(cfg, &state, event);
-            let next_key = next.encode();
-            let fresh = !parents.contains_key(&next_key);
-            if fresh {
-                states += 1;
-                decoded.insert(next_key, next.clone());
-            }
-            if let Err(message) = visit(&next, Some((key, event)), &mut parents, &mut queue) {
+            working.load(&state);
+            working.step(cfg, event);
+            let next_key = working.encode();
+            let Entry::Vacant(slot) = parents.entry(next_key) else {
+                continue;
+            };
+            slot.insert(Some((key, event)));
+            states += 1;
+            let next = working.materialize();
+            if let Err(message) = invariants::check(&next) {
                 violation = Some((next_key, message));
                 break 'bfs;
             }
+            queue.push_back((next_key, next));
         }
     }
 
-    let violation = violation.map(|(mut key, message)| {
-        let mut rev: Vec<TraceStep> = Vec::new();
-        while let Some(Some((parent, event))) = parents.get(&key) {
-            rev.push(TraceStep {
-                event: *event,
-                state: decoded[&key].clone(),
-            });
-            key = *parent;
-        }
-        rev.reverse();
-        Violation {
-            message,
-            trace: rev,
-        }
+    let violation = violation.map(|(key, message)| Violation {
+        message,
+        trace: replay(cfg, &initial, &parents, key),
     });
 
     ExploreResult {
@@ -158,6 +141,36 @@ pub fn explore(cfg: &ModelConfig) -> ExploreResult {
         reachable: parents.keys().copied().collect(),
         violation,
     }
+}
+
+/// Rebuilds the shortest trace to `target`: walks the parent links back
+/// to the initial state, then replays their events forward.
+fn replay(
+    cfg: &ModelConfig,
+    initial: &GlobalState,
+    parents: &StableHashMap<u128, Option<(u128, Event)>>,
+    target: u128,
+) -> Vec<TraceStep> {
+    let mut events = Vec::new();
+    let mut key = target;
+    while let Some(&Some((parent, event))) = parents.get(&key) {
+        events.push(event);
+        key = parent;
+    }
+    let mut state = initial.clone();
+    let trace: Vec<TraceStep> = events
+        .into_iter()
+        .rev()
+        .map(|event| {
+            state = apply(cfg, &state, event);
+            TraceStep {
+                event,
+                state: state.clone(),
+            }
+        })
+        .collect();
+    debug_assert_eq!(state.encode(), target, "replay reaches the violation");
+    trace
 }
 
 #[cfg(test)]

@@ -8,8 +8,8 @@
 //!
 //! * [`cgct_cache::snoop_line`] / [`cgct_cache::requester_next_state`]
 //!   for the line grain,
-//! * a real [`RegionCoherenceArray`] (rebuilt from the abstract node
-//!   state, then stepped through [`RegionCoherenceArray::permission`],
+//! * a real [`RegionCoherenceArray`] (its entry rebuilt from the
+//!   abstract node state before every step, then stepped through [`RegionCoherenceArray::permission`],
 //!   [`RegionCoherenceArray::local_fill`],
 //!   [`RegionCoherenceArray::external_request`],
 //!   [`RegionCoherenceArray::line_cached`] /
@@ -161,14 +161,22 @@ impl ModelConfig {
                 "clusters only apply to the hierarchical protocol"
             ),
         }
-        let mut bits = self.nodes * (3 * self.lines + 3 + 4);
-        if self.protocol == Protocol::DirectoryCgct {
-            bits += self.lines * 7 + 5;
-        }
+        let bits = self.encoding_bits();
         assert!(
             bits <= 128,
             "state encoding needs {bits} bits (> 128); shrink nodes or lines"
         );
+    }
+
+    /// Width in bits of this shape's packed state key
+    /// ([`GlobalState::encode`]); a checkable shape needs at most 128.
+    pub fn encoding_bits(&self) -> usize {
+        let node_bits = LINE_BITS * self.lines + REGION_BITS + COUNT_BITS;
+        let home_bits = match self.protocol {
+            Protocol::DirectoryCgct => DIR_LINE_BITS * self.lines + DIR_MASK_BITS,
+            Protocol::Snoop | Protocol::Hierarchical => 0,
+        };
+        self.nodes * node_bits + home_bits
     }
 
     /// The cluster a node belongs to (contiguous split, mirroring the
@@ -357,25 +365,59 @@ impl GlobalState {
     /// region cache mask — protocols without a home keep the original
     /// layout bit-for-bit).
     pub fn encode(&self) -> u128 {
-        let mut key: u128 = 0;
+        let mut key = KeyPacker::default();
         for node in &self.nodes {
-            for &line in &node.lines {
-                key = (key << 3) | moesi_index(line) as u128;
-            }
-            key = (key << 3) | region_index(node.region) as u128;
-            key = (key << 4) | node.line_count as u128;
+            key.node(&node.lines, node.region, node.line_count);
         }
         if let Some(home) = &self.home {
             for entry in &home.lines {
-                key = (key << 3) | entry.owner.map_or(0, |o| o as u128 + 1);
-                key = (key << 4) | entry.sharers as u128;
+                key.home_line(*entry);
             }
-            key = (key << 5)
-                | home
-                    .cache_mask
-                    .map_or(0, |m| 0b1_0000 | (m as u128 & 0b1111));
+            key.cache_mask(home.cache_mask);
         }
-        key
+        key.0
+    }
+}
+
+/// Key field widths (see [`GlobalState::encode`]).
+const LINE_BITS: usize = 3;
+const REGION_BITS: usize = 3;
+const COUNT_BITS: usize = 4;
+/// A home line entry: owner (0 = none, else node + 1) then sharers.
+const OWNER_BITS: usize = 3;
+const SHARER_BITS: usize = 4;
+const DIR_LINE_BITS: usize = OWNER_BITS + SHARER_BITS;
+/// The region cache mask: a present flag then 4 node bits.
+const DIR_MASK_BITS: usize = 5;
+
+/// Builds a state key field by field. Both the abstract state and the
+/// working machine encode through it, so the layout lives in one place.
+#[derive(Default)]
+struct KeyPacker(u128);
+
+impl KeyPacker {
+    fn push(&mut self, bits: usize, value: u128) {
+        self.0 = (self.0 << bits) | value;
+    }
+
+    fn node(&mut self, lines: &[MoesiState], region: RegionState, line_count: u32) {
+        for &line in lines {
+            self.push(LINE_BITS, moesi_index(line) as u128);
+        }
+        self.push(REGION_BITS, region_index(region) as u128);
+        self.push(COUNT_BITS, line_count as u128);
+    }
+
+    fn home_line(&mut self, entry: LineDir) {
+        self.push(OWNER_BITS, entry.owner.map_or(0, |o| o as u128 + 1));
+        self.push(SHARER_BITS, entry.sharers as u128);
+    }
+
+    fn cache_mask(&mut self, mask: Option<u8>) {
+        self.push(
+            DIR_MASK_BITS,
+            mask.map_or(0, |m| 0b1_0000 | (m as u128 & 0b1111)),
+        );
     }
 }
 
@@ -493,6 +535,14 @@ impl fmt::Display for Event {
 /// are not steps: they cannot change the global state.
 pub fn enabled_events(cfg: &ModelConfig, state: &GlobalState) -> Vec<Event> {
     let mut events = Vec::new();
+    enabled_events_into(cfg, state, &mut events);
+    events
+}
+
+/// [`enabled_events`] into a caller-owned buffer (cleared first), so an
+/// exploration allocates its event list once.
+pub(crate) fn enabled_events_into(cfg: &ModelConfig, state: &GlobalState, events: &mut Vec<Event>) {
+    events.clear();
     for node in 0..cfg.nodes {
         let n = &state.nodes[node];
         for line in 0..cfg.lines {
@@ -521,14 +571,14 @@ pub fn enabled_events(cfg: &ModelConfig, state: &GlobalState) -> Vec<Event> {
             events.push(Event::EvictRegion { node });
         }
     }
-    events
 }
 
 /// Working form of one step: concrete line states plus a *real*
 /// [`RegionCoherenceArray`] per node (and, on the directory machine, a
-/// real [`DirectoryController`]), rebuilt from the abstract state so
-/// the step runs the production transition code.
-struct Working {
+/// real [`DirectoryController`]), loaded from the abstract state so the
+/// step runs the production transition code. An exploration allocates
+/// one and reloads it before every event.
+pub(crate) struct Working {
     lines: Vec<Vec<MoesiState>>,
     rcas: Vec<RegionCoherenceArray>,
     home: Option<HomeDir>,
@@ -539,6 +589,17 @@ struct Working {
 struct HomeDir {
     dir: DirectoryController,
     cache_mask: Option<u64>,
+}
+
+impl HomeDir {
+    /// The entry for `line` in abstract form.
+    fn line(&self, line: usize) -> LineDir {
+        let e = self.dir.entry(LineAddr(line as u64));
+        LineDir {
+            owner: e.owner,
+            sharers: e.sharers as u8,
+        }
+    }
 }
 
 /// Maps a processor request onto the directory request vocabulary, the
@@ -553,44 +614,59 @@ fn dir_request_of(req: ReqKind) -> DirRequest {
 }
 
 impl Working {
-    fn from_state(cfg: &ModelConfig, state: &GlobalState) -> Working {
-        let rcas = state
-            .nodes
-            .iter()
-            .map(|n| {
-                let mut rca = RegionCoherenceArray::new(cfg.rca_config());
-                if let (Some(local), Some(external)) = (n.region.local(), n.region.external()) {
-                    // Reconstruct the entry through the real fill path:
-                    // the fill kind fixes the local half, the response
-                    // the external half.
-                    let fill = match local {
-                        LocalPart::Dirty => FillKind::Exclusive,
-                        LocalPart::Clean => FillKind::Shared,
-                    };
-                    let resp = match external {
-                        ExternalPart::Invalid => RegionSnoopResponse::NONE,
-                        ExternalPart::Clean => RegionSnoopResponse {
-                            clean: true,
-                            dirty: false,
-                        },
-                        ExternalPart::Dirty => RegionSnoopResponse {
-                            clean: false,
-                            dirty: true,
-                        },
-                    };
-                    rca.local_fill(REGION, fill, Some(resp), 0);
-                    debug_assert_eq!(rca.state(REGION), n.region, "entry reconstruction");
-                    for _ in 0..n.line_count {
-                        rca.line_cached(REGION);
-                    }
+    /// Allocates an empty machine of `cfg`'s shape; [`Working::load`]
+    /// gives it a state.
+    pub(crate) fn new(cfg: &ModelConfig) -> Working {
+        Working {
+            lines: vec![vec![MoesiState::Invalid; cfg.lines]; cfg.nodes],
+            rcas: (0..cfg.nodes)
+                .map(|_| RegionCoherenceArray::new(cfg.rca_config()))
+                .collect(),
+            home: (cfg.protocol == Protocol::DirectoryCgct).then(|| HomeDir {
+                dir: DirectoryController::new(),
+                cache_mask: None,
+            }),
+        }
+    }
+
+    /// Overwrites every part of the machine that a step reads or writes
+    /// with `state` (of the shape this machine was built for), so nothing
+    /// of the previously loaded state survives: each region entry is
+    /// dropped and rebuilt from scratch, and every home line is
+    /// re-installed (an empty entry is removed).
+    pub(crate) fn load(&mut self, state: &GlobalState) {
+        for ((lines, rca), n) in self.lines.iter_mut().zip(&mut self.rcas).zip(&state.nodes) {
+            lines.copy_from_slice(&n.lines);
+            rca.invalidate(REGION);
+            if let (Some(local), Some(external)) = (n.region.local(), n.region.external()) {
+                // Reconstruct the entry through the real fill path: the
+                // fill kind fixes the local half, the response the
+                // external half.
+                let fill = match local {
+                    LocalPart::Dirty => FillKind::Exclusive,
+                    LocalPart::Clean => FillKind::Shared,
+                };
+                let resp = match external {
+                    ExternalPart::Invalid => RegionSnoopResponse::NONE,
+                    ExternalPart::Clean => RegionSnoopResponse {
+                        clean: true,
+                        dirty: false,
+                    },
+                    ExternalPart::Dirty => RegionSnoopResponse {
+                        clean: false,
+                        dirty: true,
+                    },
+                };
+                rca.local_fill(REGION, fill, Some(resp), 0);
+                debug_assert_eq!(rca.state(REGION), n.region, "entry reconstruction");
+                for _ in 0..n.line_count {
+                    rca.line_cached(REGION);
                 }
-                rca
-            })
-            .collect();
-        let home = state.home.as_ref().map(|h| {
-            let mut dir = DirectoryController::new();
+            }
+        }
+        if let (Some(w), Some(h)) = (&mut self.home, &state.home) {
             for (l, entry) in h.lines.iter().enumerate() {
-                dir.install_entry(
+                w.dir.install_entry(
                     LineAddr(l as u64),
                     DirEntry {
                         owner: entry.owner,
@@ -598,47 +674,111 @@ impl Working {
                     },
                 );
             }
-            HomeDir {
-                dir,
-                cache_mask: h.cache_mask.map(u64::from),
-            }
-        });
-        Working {
-            lines: state.nodes.iter().map(|n| n.lines.clone()).collect(),
-            rcas,
-            home,
+            w.cache_mask = h.cache_mask.map(u64::from);
         }
     }
 
-    fn into_state(self) -> GlobalState {
-        let lines_per_node = self.lines[0].len();
-        let home = self.home.map(|h| HomeState {
-            lines: (0..lines_per_node)
-                .map(|l| {
-                    let e = h.dir.entry(LineAddr(l as u64));
-                    LineDir {
-                        owner: e.owner,
-                        sharers: e.sharers as u8,
-                    }
-                })
-                .collect(),
-            cache_mask: h.cache_mask.map(|m| m as u8),
-        });
+    /// The node's region entry as (state, cached-line count).
+    fn region_of(&self, node: usize) -> (RegionState, u32) {
+        self.rcas[node]
+            .entry(REGION)
+            .map_or((RegionState::Invalid, 0), |e| (e.state, e.line_count))
+    }
+
+    /// The packed key of the current state: equal to
+    /// `self.materialize().encode()`, without building the state.
+    pub(crate) fn encode(&self) -> u128 {
+        let mut key = KeyPacker::default();
+        for (node, lines) in self.lines.iter().enumerate() {
+            let (region, line_count) = self.region_of(node);
+            key.node(lines, region, line_count);
+        }
+        if let Some(home) = &self.home {
+            for line in 0..self.lines[0].len() {
+                key.home_line(home.line(line));
+            }
+            key.cache_mask(home.cache_mask.map(|m| m as u8));
+        }
+        key.0
+    }
+
+    /// The current state in abstract form.
+    pub(crate) fn materialize(&self) -> GlobalState {
         GlobalState {
             nodes: self
                 .lines
-                .into_iter()
-                .zip(self.rcas)
-                .map(|(lines, rca)| {
-                    let entry = rca.entry(REGION);
+                .iter()
+                .enumerate()
+                .map(|(node, lines)| {
+                    let (region, line_count) = self.region_of(node);
                     NodeState {
-                        lines,
-                        region: entry.map_or(RegionState::Invalid, |e| e.state),
-                        line_count: entry.map_or(0, |e| e.line_count),
+                        lines: lines.clone(),
+                        region,
+                        line_count,
                     }
                 })
                 .collect(),
-            home,
+            home: self.home.as_ref().map(|h| HomeState {
+                lines: (0..self.lines[0].len()).map(|line| h.line(line)).collect(),
+                cache_mask: h.cache_mask.map(|m| m as u8),
+            }),
+        }
+    }
+
+    /// Takes `event` (enabled in the loaded state) in place.
+    pub(crate) fn step(&mut self, cfg: &ModelConfig, event: Event) {
+        match event {
+            Event::Load { node, line } => {
+                debug_assert_eq!(self.lines[node][line], MoesiState::Invalid);
+                self.request(cfg, node, line, ReqKind::Read);
+            }
+            Event::Ifetch { node, line } => {
+                debug_assert_eq!(self.lines[node][line], MoesiState::Invalid);
+                self.request(cfg, node, line, ReqKind::ReadShared);
+            }
+            Event::Store { node, line } => match self.lines[node][line] {
+                MoesiState::Modified => unreachable!("store hit on M is not a step"),
+                MoesiState::Exclusive => {
+                    // Silent E→M: the region's local half is already Dirty.
+                    self.lines[node][line] = MoesiState::Modified;
+                }
+                MoesiState::Shared | MoesiState::Owned => {
+                    self.request(cfg, node, line, ReqKind::Upgrade);
+                    self.lines[node][line] = MoesiState::Modified;
+                }
+                MoesiState::Invalid => {
+                    self.request(cfg, node, line, ReqKind::ReadExclusive);
+                }
+            },
+            Event::Dcbz { node, line } => match self.lines[node][line] {
+                MoesiState::Modified => unreachable!("dcbz on M is not a step"),
+                MoesiState::Exclusive => {
+                    self.lines[node][line] = MoesiState::Modified;
+                }
+                _ => {
+                    self.request(cfg, node, line, ReqKind::Dcbz);
+                }
+            },
+            Event::EvictLine { node, line } => {
+                let state = self.lines[node][line];
+                debug_assert!(state.is_valid());
+                // Mirror `fill_l2`'s displacement path: remove first, then
+                // write dirty data back through the coherence point.
+                self.lines[node][line] = MoesiState::Invalid;
+                self.rcas[node].line_uncached(REGION);
+                if state.is_dirty() {
+                    self.request(cfg, node, line, ReqKind::Writeback);
+                }
+            }
+            Event::EvictRegion { node } => {
+                // Mirror an RCA displacement: the entry is gone, and
+                // `flush_region` pushes every cached line out (dirty lines go
+                // straight to the recorded controller — no snooping).
+                self.rcas[node].invalidate(REGION);
+                for line in 0..cfg.lines {
+                    self.lines[node][line] = MoesiState::Invalid;
+                }
+            }
         }
     }
 
@@ -674,13 +814,14 @@ impl Working {
     /// The cluster counts are derived exactly from the line states —
     /// the same truth the live system maintains incrementally and its
     /// sanitizer checks.
-    fn snoop_visibility(&self, cfg: &ModelConfig, requester: usize) -> Vec<bool> {
+    fn snoop_visibility(&self, cfg: &ModelConfig, requester: usize) -> u64 {
+        let nodes = self.lines.len();
         if cfg.protocol != Protocol::Hierarchical || cfg.clusters <= 1 {
-            return vec![true; self.lines.len()];
+            return (1 << nodes) - 1;
         }
         let my_cluster = cfg.cluster_of(requester);
-        (0..self.lines.len())
-            .map(|other| {
+        (0..nodes)
+            .filter(|&other| {
                 let c = cfg.cluster_of(other);
                 if c == my_cluster {
                     return true;
@@ -690,10 +831,10 @@ impl Working {
                     // remote cluster empty.
                     return false;
                 }
-                (0..self.lines.len())
+                (0..nodes)
                     .any(|n| cfg.cluster_of(n) == c && self.lines[n].iter().any(|s| s.is_valid()))
             })
-            .collect()
+            .fold(0, |mask, other| mask | 1 << other)
     }
 
     /// Region snoop responses from every other node (step 3 of the bus
@@ -815,8 +956,8 @@ impl Working {
                 //    hierarchical machine).
                 let visible = self.snoop_visibility(cfg, requester);
                 let mut line_resp = LineSnoopResponse::default();
-                for (other, vis) in visible.iter().enumerate() {
-                    if other == requester || !vis {
+                for other in 0..self.lines.len() {
+                    if other == requester || visible & (1 << other) == 0 {
                         continue;
                     }
                     let state = self.lines[other][line];
@@ -876,12 +1017,10 @@ impl Working {
             .cache_mask
             .is_some_and(|m| m & !(1u64 << requester) == 0);
         let (action, exclusive) = self.home_handle(cfg, requester, line, req);
-        let (fwd_owner, invalidate) = match &action {
-            DirAction::ForwardToOwner { owner, invalidate } => {
-                (Some(*owner as usize), invalidate.clone())
-            }
+        let (fwd_owner, invalidate) = match action {
+            DirAction::ForwardToOwner { owner, invalidate } => (Some(owner as usize), invalidate),
             DirAction::FromMemory { invalidate } | DirAction::InvalidateOnly { invalidate } => {
-                (None, invalidate.clone())
+                (None, invalidate)
             }
         };
         if !skip {
@@ -973,66 +1112,67 @@ impl Working {
 /// Applies `event` to `state`, returning the successor. The caller must
 /// only pass events from [`enabled_events`].
 pub fn apply(cfg: &ModelConfig, state: &GlobalState, event: Event) -> GlobalState {
-    let mut w = Working::from_state(cfg, state);
-    match event {
-        Event::Load { node, line } => {
-            debug_assert_eq!(w.lines[node][line], MoesiState::Invalid);
-            w.request(cfg, node, line, ReqKind::Read);
-        }
-        Event::Ifetch { node, line } => {
-            debug_assert_eq!(w.lines[node][line], MoesiState::Invalid);
-            w.request(cfg, node, line, ReqKind::ReadShared);
-        }
-        Event::Store { node, line } => match w.lines[node][line] {
-            MoesiState::Modified => unreachable!("store hit on M is not a step"),
-            MoesiState::Exclusive => {
-                // Silent E→M: the region's local half is already Dirty.
-                w.lines[node][line] = MoesiState::Modified;
-            }
-            MoesiState::Shared | MoesiState::Owned => {
-                w.request(cfg, node, line, ReqKind::Upgrade);
-                w.lines[node][line] = MoesiState::Modified;
-            }
-            MoesiState::Invalid => {
-                w.request(cfg, node, line, ReqKind::ReadExclusive);
-            }
-        },
-        Event::Dcbz { node, line } => match w.lines[node][line] {
-            MoesiState::Modified => unreachable!("dcbz on M is not a step"),
-            MoesiState::Exclusive => {
-                w.lines[node][line] = MoesiState::Modified;
-            }
-            _ => {
-                w.request(cfg, node, line, ReqKind::Dcbz);
-            }
-        },
-        Event::EvictLine { node, line } => {
-            let state = w.lines[node][line];
-            debug_assert!(state.is_valid());
-            // Mirror `fill_l2`'s displacement path: remove first, then
-            // write dirty data back through the coherence point.
-            w.lines[node][line] = MoesiState::Invalid;
-            w.rcas[node].line_uncached(REGION);
-            if state.is_dirty() {
-                w.request(cfg, node, line, ReqKind::Writeback);
-            }
-        }
-        Event::EvictRegion { node } => {
-            // Mirror an RCA displacement: the entry is gone, and
-            // `flush_region` pushes every cached line out (dirty lines go
-            // straight to the recorded controller — no snooping).
-            w.rcas[node].invalidate(REGION);
-            for line in 0..cfg.lines {
-                w.lines[node][line] = MoesiState::Invalid;
-            }
-        }
-    }
-    w.into_state()
+    let mut w = Working::new(cfg);
+    w.load(state);
+    w.step(cfg, event);
+    w.materialize()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cgct_sim::hash::StableHashSet;
+    use std::collections::VecDeque;
+
+    /// Walks every reachable state of `cfg` and steps each enabled event
+    /// twice: on one working machine reloaded for every step of the
+    /// walk, and through a fresh [`apply`]. Any state that leaks across
+    /// a reload (an RCA entry's owner hint or controller, a directory
+    /// entry, the region cache mask) makes the two disagree. Returns
+    /// the transitions compared.
+    fn reload_matches_fresh_apply(cfg: &ModelConfig) -> u64 {
+        let initial = GlobalState::initial(cfg);
+        let mut seen: StableHashSet<u128> = StableHashSet::default();
+        seen.insert(initial.encode());
+        let mut queue = VecDeque::from([initial]);
+        let mut working = Working::new(cfg);
+        let mut transitions = 0;
+        while let Some(state) = queue.pop_front() {
+            for event in enabled_events(cfg, &state) {
+                let fresh = apply(cfg, &state, event);
+                working.load(&state);
+                working.step(cfg, event);
+                assert_eq!(working.encode(), fresh.encode(), "{state} / {event}");
+                assert_eq!(working.materialize(), fresh, "{state} / {event}");
+                transitions += 1;
+                if seen.insert(fresh.encode()) {
+                    queue.push_back(fresh);
+                }
+            }
+        }
+        transitions
+    }
+
+    #[test]
+    fn reused_working_machine_steps_like_a_fresh_one() {
+        let dir_2x2 = ModelConfig {
+            nodes: 2,
+            protocol: Protocol::DirectoryCgct,
+            ..ModelConfig::default_3x2()
+        };
+        for (cfg, golden_transitions) in [
+            (ModelConfig::default_3x2(), 116_040),
+            (ModelConfig::hierarchical_3x2(), 116_040),
+            (dir_2x2, 74_978),
+        ] {
+            assert_eq!(
+                reload_matches_fresh_apply(&cfg),
+                golden_transitions,
+                "{:?}",
+                cfg.protocol
+            );
+        }
+    }
 
     #[test]
     fn initial_state_is_empty() {

@@ -120,6 +120,98 @@ fn disabling_self_invalidation_is_still_safe() {
     assert_ne!(r.states, GOLDEN_3X2_STATES);
 }
 
+/// The shortest counterexample of every protocol x applicable fault:
+/// the invariant it breaks and its events. Recorded from the checker
+/// that kept every visited state in memory for its traces; traces
+/// rebuilt by replaying parent-linked events must stay these
+/// breadth-first-shortest ones.
+const FAULT_TRACES: &[(&str, &str, &str, &[&str])] = &[
+    (
+        "snoop",
+        "keep-stale-sharers",
+        "I1",
+        &["n0 load L0", "n1 store L0"],
+    ),
+    (
+        "snoop",
+        "skip-external-downgrade",
+        "I2",
+        &["n0 load L0", "n1 load L0"],
+    ),
+    (
+        "snoop",
+        "leak-line-count",
+        "I3",
+        &["n0 load L0", "n1 store L0"],
+    ),
+    (
+        "snoop",
+        "overclaim-exclusive",
+        "I1",
+        &["n0 load L0", "n1 load L0", "n0 store L0"],
+    ),
+    (
+        "dir-cgct",
+        "keep-stale-sharers",
+        "I1",
+        &["n0 load L0", "n1 store L0"],
+    ),
+    (
+        "dir-cgct",
+        "skip-external-downgrade",
+        "I2",
+        &["n0 load L0", "n1 load L0"],
+    ),
+    (
+        "dir-cgct",
+        "leak-line-count",
+        "I3",
+        &["n0 load L0", "n1 store L0"],
+    ),
+    (
+        "dir-cgct",
+        "overclaim-exclusive",
+        "I1",
+        &["n0 load L0", "n1 load L0", "n0 store L0"],
+    ),
+    (
+        "dir-cgct",
+        "stale-region-dir-cache",
+        "I6",
+        &["n0 load L0", "n1 load L0"],
+    ),
+    (
+        "hierarchical",
+        "keep-stale-sharers",
+        "I1",
+        &["n0 load L0", "n1 store L0"],
+    ),
+    (
+        "hierarchical",
+        "skip-external-downgrade",
+        "I2",
+        &["n0 load L0", "n1 load L0"],
+    ),
+    (
+        "hierarchical",
+        "leak-line-count",
+        "I3",
+        &["n0 load L0", "n1 store L0"],
+    ),
+    (
+        "hierarchical",
+        "overclaim-exclusive",
+        "I1",
+        &["n0 load L0", "n1 load L0", "n0 store L0"],
+    ),
+    (
+        "hierarchical",
+        "skip-cluster-invalidation",
+        "I1",
+        &["n0 load L0", "n2 load L0"],
+    ),
+];
+
 #[test]
 fn every_fault_injection_yields_a_counterexample() {
     // Every fault applicable to a protocol must be caught under that
@@ -131,6 +223,7 @@ fn every_fault_injection_yields_a_counterexample() {
         ModelConfig::directory_3x2(),
         ModelConfig::hierarchical_3x2(),
     ];
+    let mut checked = 0;
     for base in bases {
         for mutation in base.applicable_faults() {
             let cfg = ModelConfig { mutation, ..base };
@@ -139,7 +232,18 @@ fn every_fault_injection_yields_a_counterexample() {
             let v = r
                 .violation
                 .unwrap_or_else(|| panic!("{label} must be caught"));
-            assert!(!v.trace.is_empty(), "{label}: empty trace");
+            let &(_, _, invariant, events) = FAULT_TRACES
+                .iter()
+                .find(|(p, m, _, _)| *p == cfg.protocol.name() && *m == mutation.name())
+                .unwrap_or_else(|| panic!("{label}: no recorded trace shape"));
+            let taken: Vec<String> = v.trace.iter().map(|s| s.event.to_string()).collect();
+            assert_eq!(taken, events, "{label}: trace events");
+            assert!(
+                v.message.starts_with(&format!("{invariant}:")),
+                "{label}: expected {invariant}, got {}",
+                v.message
+            );
+            checked += 1;
             // The trace must replay: applying its events from the initial
             // state reproduces exactly the recorded intermediate states.
             let mut state = GlobalState::initial(&cfg);
@@ -154,6 +258,7 @@ fn every_fault_injection_yields_a_counterexample() {
             );
         }
     }
+    assert_eq!(checked, FAULT_TRACES.len(), "every recorded shape checked");
 }
 
 #[test]
