@@ -35,11 +35,31 @@ struct Way<E> {
     entry: Option<E>,
 }
 
+impl<E> Way<E> {
+    const FREE: Way<E> = Way {
+        tag: 0,
+        last_use: 0,
+        entry: None,
+    };
+}
+
+/// `sets * ways` if every block offset of that geometry fits the `u32`
+/// block index (the last block starts at `sets * ways`, just past the
+/// sentinel and the other `sets - 1` blocks).
+fn way_count(sets: usize, ways: usize) -> Option<usize> {
+    sets.checked_mul(ways).filter(|&n| u32::try_from(n).is_ok())
+}
+
 /// A set-associative array mapping `u64` keys (line or region numbers) to
 /// entries of type `E`.
 ///
 /// The key is split into a set index (low bits) and a tag (high bits);
 /// the number of sets must be a power of two.
+///
+/// A set's ways are allocated the first time something is inserted into
+/// it: until then the set points at a shared block of always-free ways,
+/// so an untouched set costs one `u32`. Nothing observable depends on
+/// the order in which sets were first filled.
 ///
 /// # Examples
 ///
@@ -53,7 +73,7 @@ struct Way<E> {
 /// let evicted = a.insert_lru(8, "eight");
 /// assert_eq!(evicted, Some((0, "zero")));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SetAssocArray<E> {
     sets: usize,
     ways: usize,
@@ -61,34 +81,66 @@ pub struct SetAssocArray<E> {
     set_mask: usize,
     /// `log2(sets)`, precomputed: the tag is `key >> set_shift`.
     set_shift: u32,
+    /// Per set, the offset in `storage` of its first way; 0 (the
+    /// sentinel block) until the set is first inserted into.
+    blocks: Vec<u32>,
+    /// The sentinel block of `ways` free ways, which is never written,
+    /// then one block of `ways` ways per set that has held an entry, in
+    /// the order those sets were first filled.
     storage: Vec<Way<E>>,
     clock: u64,
     len: usize,
 }
 
+impl<E: Clone> Clone for SetAssocArray<E> {
+    fn clone(&self) -> Self {
+        SetAssocArray {
+            sets: self.sets,
+            ways: self.ways,
+            set_mask: self.set_mask,
+            set_shift: self.set_shift,
+            blocks: self.blocks.clone(),
+            storage: self.storage.clone(),
+            clock: self.clock,
+            len: self.len,
+        }
+    }
+
+    /// Copies `source` into this array's existing allocations.
+    fn clone_from(&mut self, source: &Self) {
+        self.sets = source.sets;
+        self.ways = source.ways;
+        self.set_mask = source.set_mask;
+        self.set_shift = source.set_shift;
+        self.blocks.clone_from(&source.blocks);
+        self.storage.clone_from(&source.storage);
+        self.clock = source.clock;
+        self.len = source.len;
+    }
+}
+
 impl<E> SetAssocArray<E> {
-    /// Creates an empty array with `sets` sets of `ways` ways.
+    /// Creates an empty array with `sets` sets of `ways` ways. No set's
+    /// ways are allocated until something is inserted into it.
     ///
     /// # Panics
     ///
-    /// Panics if `sets` is not a power of two or `ways` is zero.
+    /// Panics if `sets` is not a power of two, `ways` is zero, or
+    /// `sets * ways` exceeds `u32::MAX`.
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         assert!(ways > 0, "associativity must be at least 1");
-        let mut storage = Vec::with_capacity(sets * ways);
-        for _ in 0..sets * ways {
-            storage.push(Way {
-                tag: 0,
-                last_use: 0,
-                entry: None,
-            });
-        }
+        assert!(
+            way_count(sets, ways).is_some(),
+            "{sets}x{ways} ways exceed the u32 block index"
+        );
         SetAssocArray {
             sets,
             ways,
             set_mask: sets - 1,
             set_shift: sets.trailing_zeros(),
-            storage,
+            blocks: vec![0; sets],
+            storage: (0..ways).map(|_| Way::FREE).collect(),
             clock: 0,
             len: 0,
         }
@@ -133,10 +185,26 @@ impl<E> SetAssocArray<E> {
         (tag << self.set_shift) | set as u64
     }
 
+    /// The storage range of the ways of `key`'s set (the sentinel block
+    /// if the set was never inserted into).
     #[inline]
     fn set_range(&self, key: u64) -> std::ops::Range<usize> {
-        let s = self.set_index(key);
-        s * self.ways..(s + 1) * self.ways
+        let start = self.blocks[self.set_index(key)] as usize;
+        start..start + self.ways
+    }
+
+    /// The storage offset of `set`'s ways, allocating them if the set
+    /// still points at the sentinel block.
+    fn block_mut(&mut self, set: usize) -> usize {
+        let start = self.blocks[set] as usize;
+        if start != 0 {
+            return start;
+        }
+        let start = self.storage.len();
+        self.storage.extend((0..self.ways).map(|_| Way::FREE));
+        // `way_count` bounded every offset when the array was built.
+        self.blocks[set] = start as u32;
+        start
     }
 
     /// The hot path of every cache and RCA probe. Compares the tag
@@ -148,7 +216,7 @@ impl<E> SetAssocArray<E> {
     #[inline]
     fn find(&self, key: u64) -> Option<usize> {
         let tag = self.tag(key);
-        let start = self.set_index(key) * self.ways;
+        let start = self.blocks[self.set_index(key)] as usize;
         let ways = &self.storage[start..start + self.ways];
         for (i, way) in ways.iter().enumerate() {
             if way.tag == tag && way.entry.is_some() {
@@ -236,11 +304,11 @@ impl<E> SetAssocArray<E> {
             self.storage[i].last_use = clock;
             return old.map(|e| (key, e));
         }
-        // Free way?
-        if let Some(i) = self
-            .set_range(key)
-            .find(|&i| self.storage[i].entry.is_none())
-        {
+        // Free way? (A set that never held an entry gets its ways now.)
+        let set = self.set_index(key);
+        let start = self.block_mut(set);
+        let range = start..start + self.ways;
+        if let Some(i) = range.clone().find(|&i| self.storage[i].entry.is_none()) {
             self.storage[i] = Way {
                 tag,
                 last_use: clock,
@@ -250,8 +318,6 @@ impl<E> SetAssocArray<E> {
             return None;
         }
         // Full set: ask the policy for a victim.
-        let set = self.set_index(key);
-        let range = self.set_range(key);
         let candidates: Vec<VictimCandidate<'_, E>> = range
             .clone()
             .map(|i| VictimCandidate {
@@ -282,39 +348,60 @@ impl<E> SetAssocArray<E> {
         self.storage[i].entry.take()
     }
 
-    /// Iterates over all `(key, &entry)` pairs in storage order.
+    /// Iterates over all `(key, &entry)` pairs, set-major and way-minor.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &E)> + '_ {
-        let sets = self.sets;
-        let ways = self.ways;
-        (0..sets * ways).filter_map(move |i| {
-            let way = &self.storage[i];
-            way.entry
-                .as_ref()
-                .map(|e| (self.key_from(way.tag, i / ways), e))
-        })
-    }
-
-    /// Iterates mutably over all `(key, &mut entry)` pairs.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut E)> + '_ {
-        let sets_bits = self.sets.trailing_zeros();
-        let ways = self.ways;
-        self.storage
-            .iter_mut()
+        self.blocks
+            .iter()
             .enumerate()
-            .filter_map(move |(i, way)| {
-                let set = i / ways;
-                way.entry
-                    .as_mut()
-                    .map(|e| (((way.tag) << sets_bits) | set as u64, e))
+            .filter(|&(_, &start)| start != 0)
+            .flat_map(move |(set, &start)| {
+                let start = start as usize;
+                self.storage[start..start + self.ways]
+                    .iter()
+                    .filter_map(move |way| {
+                        way.entry.as_ref().map(|e| (self.key_from(way.tag, set), e))
+                    })
             })
     }
 
-    /// Removes all entries.
+    /// Iterates mutably over all `(key, &mut entry)` pairs, in the same
+    /// order as [`Self::iter`].
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut E)> + '_ {
+        let set_shift = self.set_shift;
+        // Block `b` starts at offset `b * ways`; block 0 is the sentinel.
+        let mut blocks: Vec<Option<&mut [Way<E>]>> =
+            self.storage.chunks_mut(self.ways).map(Some).collect();
+        let ways = self.ways;
+        self.blocks
+            .iter()
+            .enumerate()
+            .filter(|&(_, &start)| start != 0)
+            .flat_map(move |(set, &start)| {
+                // Each block belongs to exactly one set, so it is taken once.
+                blocks[start as usize / ways]
+                    .take()
+                    .into_iter()
+                    .flatten()
+                    .filter_map(move |way| {
+                        way.entry
+                            .as_mut()
+                            .map(|e| ((way.tag << set_shift) | set as u64, e))
+                    })
+            })
+    }
+
+    /// Removes all entries (and releases every set's ways).
     pub fn clear(&mut self) {
-        for way in &mut self.storage {
-            way.entry = None;
-        }
+        self.storage.truncate(self.ways);
+        self.blocks.fill(0);
         self.len = 0;
+    }
+
+    /// The ways of `set`, allocating them if needed.
+    #[cfg(test)]
+    fn set_ways_mut(&mut self, set: usize) -> &mut [Way<E>] {
+        let start = self.block_mut(set);
+        &mut self.storage[start..start + self.ways]
     }
 
     /// Number of valid entries in the set that `key` maps to.
@@ -340,8 +427,12 @@ impl<E: cgct_sim::Snap> cgct_sim::Snap for SetAssocArray<E> {
             (
                 "storage",
                 Json::Array(
-                    self.storage
+                    self.blocks
                         .iter()
+                        .flat_map(|&start| {
+                            let start = start as usize;
+                            &self.storage[start..start + self.ways]
+                        })
                         .map(|w| match &w.entry {
                             None => Json::Null,
                             Some(e) => Json::obj([
@@ -364,21 +455,24 @@ impl<E: cgct_sim::Snap> cgct_sim::Snap for SetAssocArray<E> {
         if !sets.is_power_of_two() || ways == 0 {
             return Err(format!("bad geometry {sets}x{ways}"));
         }
-        let mut a = SetAssocArray::new(sets, ways);
-        a.clock = unsnap_field(v, "clock")?;
+        let clock = unsnap_field(v, "clock")?;
         let storage = elements(field(v, "storage")?)?;
-        if storage.len() != sets * ways {
+        // Checked before anything is allocated: the geometry comes from
+        // the input, but the ways it names must all be present in it.
+        if way_count(sets, ways) != Some(storage.len()) {
             return Err(format!(
-                "storage has {} ways, expected {}",
-                storage.len(),
-                sets * ways
+                "storage has {} ways, expected {sets}x{ways}",
+                storage.len()
             ));
         }
+        let mut a = SetAssocArray::new(sets, ways);
+        a.clock = clock;
         for (i, w) in storage.iter().enumerate() {
             if matches!(w, Json::Null) {
                 continue;
             }
-            a.storage[i] = Way {
+            let start = a.block_mut(i / ways);
+            a.storage[start + i % ways] = Way {
                 tag: unsnap_field(w, "t")?,
                 last_use: unsnap_field(w, "u")?,
                 entry: Some(
@@ -530,7 +624,7 @@ mod tests {
         a.insert_lru(0, 'a');
         a.insert_lru(1, 'b');
         a.insert_lru(2, 'c');
-        for way in &mut a.storage {
+        for way in a.set_ways_mut(0) {
             way.last_use = 7;
         }
         assert_eq!(a.insert_lru(3, 'd'), Some((0, 'a')));
@@ -540,10 +634,57 @@ mod tests {
         b.insert_lru(0, 'a');
         b.insert_lru(1, 'b');
         b.insert_lru(2, 'c');
-        b.storage[0].last_use = 7;
-        b.storage[1].last_use = 7;
-        b.storage[2].last_use = 3;
+        let ways = b.set_ways_mut(0);
+        ways[0].last_use = 7;
+        ways[1].last_use = 7;
+        ways[2].last_use = 3;
         assert_eq!(b.insert_lru(3, 'd'), Some((2, 'c')));
+    }
+
+    #[test]
+    fn sets_get_their_ways_on_first_insert() {
+        let mut a: SetAssocArray<u8> = SetAssocArray::new(1 << 16, 8);
+        // Only the shared sentinel block exists.
+        assert_eq!(a.storage.len(), 8);
+        assert_eq!(a.capacity(), 1 << 19);
+        assert_eq!(a.lookup(5), LookupOutcome::MissFree);
+        assert_eq!(a.set_occupancy(5), 0);
+        assert!(a.iter().next().is_none());
+        a.insert_lru(5, 1);
+        assert_eq!(a.storage.len(), 16);
+        // A second key in the same set reuses the set's block.
+        a.insert_lru(5 + (1 << 16), 2);
+        assert_eq!(a.storage.len(), 16);
+        assert_eq!(a.set_occupancy(5), 2);
+        // Probes, removals and clears allocate nothing.
+        assert!(!a.contains(6) && a.get(7).is_none());
+        assert_eq!(a.remove(6), None);
+        assert_eq!(a.storage.len(), 16);
+        assert!(a.storage[..8].iter().all(|w| w.entry.is_none()));
+        a.clear();
+        assert_eq!(a.storage.len(), 8);
+        assert_eq!(a.get(5), None);
+    }
+
+    #[test]
+    fn iteration_is_set_major_whatever_the_fill_order() {
+        let mut a: SetAssocArray<u32> = SetAssocArray::new(8, 2);
+        // Sets first filled in the order 6, 1, 3; within a set, keys
+        // take ways in insertion order.
+        for k in [14u64, 1, 11, 9, 6] {
+            a.insert_lru(k, k as u32);
+        }
+        let order = [(1, 1), (9, 9), (11, 11), (14, 14), (6, 6)];
+        let seen: Vec<(u64, u32)> = a.iter().map(|(k, &v)| (k, v)).collect();
+        assert_eq!(seen, order);
+        let seen: Vec<(u64, u32)> = a.iter_mut().map(|(k, v)| (k, *v)).collect();
+        assert_eq!(seen, order);
+    }
+
+    #[test]
+    #[should_panic(expected = "u32 block index")]
+    fn rejects_geometry_beyond_the_block_index() {
+        let _: SetAssocArray<u8> = SetAssocArray::new(1 << 31, 2);
     }
 
     #[test]

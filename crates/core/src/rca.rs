@@ -98,7 +98,7 @@ pub struct RegionEviction {
 }
 
 /// Counters the paper reports about RCA behaviour (§3.2, §5.2).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RcaStats {
     /// Replacements (not counting self-invalidations).
     pub evictions: Counter,
@@ -110,6 +110,28 @@ pub struct RcaStats {
     pub region_hits: Counter,
     /// Local requests that found no region entry.
     pub region_misses: Counter,
+}
+
+impl Clone for RcaStats {
+    fn clone(&self) -> Self {
+        RcaStats {
+            evictions: self.evictions,
+            evicted_line_counts: self.evicted_line_counts.clone(),
+            self_invalidations: self.self_invalidations,
+            region_hits: self.region_hits,
+            region_misses: self.region_misses,
+        }
+    }
+
+    /// Copies `source` into this value's existing histogram allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.evictions = source.evictions;
+        self.evicted_line_counts
+            .clone_from(&source.evicted_line_counts);
+        self.self_invalidations = source.self_invalidations;
+        self.region_hits = source.region_hits;
+        self.region_misses = source.region_misses;
+    }
 }
 
 impl RcaStats {
@@ -150,11 +172,28 @@ impl RcaStats {
 /// assert_eq!(rca.state(r), RegionState::DirtyInvalid);
 /// assert_eq!(rca.permission(r, ReqKind::Read), RegionPermission::DirectToMemory);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RegionCoherenceArray {
     cfg: RcaConfig,
     array: SetAssocArray<RegionEntry>,
     stats: RcaStats,
+}
+
+impl Clone for RegionCoherenceArray {
+    fn clone(&self) -> Self {
+        RegionCoherenceArray {
+            cfg: self.cfg,
+            array: self.array.clone(),
+            stats: self.stats.clone(),
+        }
+    }
+
+    /// Copies `source` into this array's existing allocations.
+    fn clone_from(&mut self, source: &Self) {
+        self.cfg = source.cfg;
+        self.array.clone_from(&source.array);
+        self.stats.clone_from(&source.stats);
+    }
 }
 
 impl RegionCoherenceArray {

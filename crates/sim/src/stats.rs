@@ -411,10 +411,25 @@ impl Default for IntStats {
 /// assert!((h.fraction(0) - 0.5).abs() < 1e-12);
 /// assert_eq!(h.count(3), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     total: u64,
+}
+
+impl Clone for Histogram {
+    fn clone(&self) -> Self {
+        Histogram {
+            buckets: self.buckets.clone(),
+            total: self.total,
+        }
+    }
+
+    /// Copies `source` into this histogram's existing bucket allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.buckets.clone_from(&source.buckets);
+        self.total = source.total;
+    }
 }
 
 impl Histogram {

@@ -79,13 +79,30 @@ pub enum DirRequest {
 }
 
 /// The directory state for one memory controller's lines.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct DirectoryController {
     entries: StableHashMap<u64, DirEntry>,
     /// Three-hop (owner-forwarded) transfers served.
     pub three_hop_transfers: u64,
     /// Invalidation messages sent.
     pub invalidations_sent: u64,
+}
+
+impl Clone for DirectoryController {
+    fn clone(&self) -> Self {
+        DirectoryController {
+            entries: self.entries.clone(),
+            three_hop_transfers: self.three_hop_transfers,
+            invalidations_sent: self.invalidations_sent,
+        }
+    }
+
+    /// Copies `source` into this directory's existing table allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.entries.clone_from(&source.entries);
+        self.three_hop_transfers = source.three_hop_transfers;
+        self.invalidations_sent = source.invalidations_sent;
+    }
 }
 
 impl DirectoryController {

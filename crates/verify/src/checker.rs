@@ -107,13 +107,17 @@ pub fn explore(cfg: &ModelConfig) -> ExploreResult {
         queue.push_back((initial_key, initial.clone()));
     }
 
+    // `base` holds the state being expanded; `working` is restored from
+    // it by copy before every event.
+    let mut base = Working::new(cfg);
     let mut working = Working::new(cfg);
     let mut events = Vec::new();
     'bfs: while let Some((key, state)) = queue.pop_front() {
         enabled_events_into(cfg, &state, &mut events);
+        base.load(&state);
         for &event in &events {
             transitions += 1;
-            working.load(&state);
+            working.clone_from(&base);
             working.step(cfg, event);
             let next_key = working.encode();
             let Entry::Vacant(slot) = parents.entry(next_key) else {

@@ -576,12 +576,30 @@ pub(crate) fn enabled_events_into(cfg: &ModelConfig, state: &GlobalState, events
 /// Working form of one step: concrete line states plus a *real*
 /// [`RegionCoherenceArray`] per node (and, on the directory machine, a
 /// real [`DirectoryController`]), loaded from the abstract state so the
-/// step runs the production transition code. An exploration allocates
-/// one and reloads it before every event.
+/// step runs the production transition code. An exploration loads each
+/// expanded state once into a base machine and, before every event,
+/// copies that base into one stepping machine with `clone_from`, which
+/// reuses the stepping machine's allocations.
 pub(crate) struct Working {
     lines: Vec<Vec<MoesiState>>,
     rcas: Vec<RegionCoherenceArray>,
     home: Option<HomeDir>,
+}
+
+impl Clone for Working {
+    fn clone(&self) -> Self {
+        Working {
+            lines: self.lines.clone(),
+            rcas: self.rcas.clone(),
+            home: self.home.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.lines.clone_from(&source.lines);
+        self.rcas.clone_from(&source.rcas);
+        self.home.clone_from(&source.home);
+    }
 }
 
 /// The home controller's working state: the production directory plus
@@ -589,6 +607,20 @@ pub(crate) struct Working {
 struct HomeDir {
     dir: DirectoryController,
     cache_mask: Option<u64>,
+}
+
+impl Clone for HomeDir {
+    fn clone(&self) -> Self {
+        HomeDir {
+            dir: self.dir.clone(),
+            cache_mask: self.cache_mask,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.dir.clone_from(&source.dir);
+        self.cache_mask = source.cache_mask;
+    }
 }
 
 impl HomeDir {
@@ -1125,25 +1157,34 @@ mod tests {
     use std::collections::VecDeque;
 
     /// Walks every reachable state of `cfg` and steps each enabled event
-    /// twice: on one working machine reloaded for every step of the
-    /// walk, and through a fresh [`apply`]. Any state that leaks across
-    /// a reload (an RCA entry's owner hint or controller, a directory
-    /// entry, the region cache mask) makes the two disagree. Returns
-    /// the transitions compared.
+    /// three times: on one working machine reloaded for every step of
+    /// the walk, on one working machine copied (`clone_from`) from a
+    /// base reloaded once per state, as `explore` does, and through a
+    /// fresh [`apply`]. Any state that leaks across a reload or a copy
+    /// (an RCA entry's owner hint or controller, a directory entry, the
+    /// region cache mask) makes them disagree. Returns the transitions
+    /// compared.
     fn reload_matches_fresh_apply(cfg: &ModelConfig) -> u64 {
         let initial = GlobalState::initial(cfg);
         let mut seen: StableHashSet<u128> = StableHashSet::default();
         seen.insert(initial.encode());
         let mut queue = VecDeque::from([initial]);
-        let mut working = Working::new(cfg);
+        let mut reloaded = Working::new(cfg);
+        let mut base = Working::new(cfg);
+        let mut copied = Working::new(cfg);
         let mut transitions = 0;
         while let Some(state) = queue.pop_front() {
+            base.load(&state);
             for event in enabled_events(cfg, &state) {
                 let fresh = apply(cfg, &state, event);
-                working.load(&state);
-                working.step(cfg, event);
-                assert_eq!(working.encode(), fresh.encode(), "{state} / {event}");
-                assert_eq!(working.materialize(), fresh, "{state} / {event}");
+                reloaded.load(&state);
+                reloaded.step(cfg, event);
+                copied.clone_from(&base);
+                copied.step(cfg, event);
+                for working in [&reloaded, &copied] {
+                    assert_eq!(working.encode(), fresh.encode(), "{state} / {event}");
+                    assert_eq!(working.materialize(), fresh, "{state} / {event}");
+                }
                 transitions += 1;
                 if seen.insert(fresh.encode()) {
                     queue.push_back(fresh);

@@ -84,6 +84,14 @@ if cargo run --release -p cgct-verify --offline --bin cgct-verify -- \
 fi
 echo "new-mode fixpoints clean; seeded faults caught"
 
+echo "== perfbench: harness tests and one checked pass of every workload =="
+# perfbench is a package of its own (BENCHMARK.json's command), so the
+# workspace steps above never build it. A run exits 1 when a modelled
+# digest, a checker golden or an invariant check fails.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload all --seed 7919 --seconds 1 --trace 0
+
 echo "== event-driven vs cycle-stepped equivalence =="
 cargo test -q --release -p cgct-system --offline --test event_skip_equivalence
 
