@@ -5,7 +5,7 @@
 // exactly as cgct-lint exempts src/bin/ paths.
 //!
 //! ```text
-//! experiments <command> [--quick] [--serial] [--intra-serial] [--no-skip] [--sanitize] [--json <dir>]
+//! experiments <command> [--quick] [--serial] [--no-skip] [--sanitize] [--json <dir>]
 //!
 //! commands:
 //!   table1 table2 table3 table4    analytic tables
@@ -32,12 +32,6 @@
 //! in-order run. Output is byte-identical whatever the worker count —
 //! only `timing.json` (per-item wall clock, written next to the other
 //! `--json` artifacts) varies run over run.
-//!
-//! Independently, `CGCT_INTRA_JOBS=<n>` parallelizes *within* each run
-//! using the conservative epoch engine (`cgct_system`'s `epoch` module),
-//! and `--intra-serial` runs that engine on one worker — the reference a
-//! `CGCT_INTRA_JOBS=<n>` run must match byte for byte. The two knobs
-//! multiply; prefer `CGCT_JOBS=1` when turning intra-run parallelism on.
 //!
 //! Every simulated cell goes through the content-addressed result cache
 //! (`cgct_system::resultcache`) rooted at `CGCT_CACHE_DIR` (default
@@ -70,7 +64,6 @@ struct Args {
     operand: Option<String>,
     quick: bool,
     serial: bool,
-    intra_serial: bool,
     no_skip: bool,
     sanitize: bool,
     no_cache: bool,
@@ -100,7 +93,6 @@ fn parse_args() -> Args {
     let mut positionals = 0usize;
     let mut quick = false;
     let mut serial = false;
-    let mut intra_serial = false;
     let mut no_skip = false;
     let mut sanitize = false;
     let mut no_cache = false;
@@ -134,11 +126,6 @@ fn parse_args() -> Args {
                        cache gc                       prune stale cache entries\n\n\
                      --quick    scaled-down plan (CI-friendly)\n\
                      --serial   one worker, in-order (same output, no threads)\n\
-                     --intra-serial\n\
-                                run the intra-run epoch engine on one\n\
-                                worker — the byte-identical reference for\n\
-                                CGCT_INTRA_JOBS=<n> runs (see DESIGN.md,\n\
-                                'Concurrency & determinism model')\n\
                      --no-skip  cycle-stepped reference loop (same output,\n\
                                 no wakeup-driven time skipping; slow)\n\
                      --sanitize runtime coherence sanitizer: re-check the\n\
@@ -162,16 +149,12 @@ fn parse_args() -> Args {
                      --resume <file>       continue from a snapshot\n\
                      --stop-after <k>      exit after k segments (interrupt)\n\n\
                      CGCT_JOBS=<n> overrides the worker count (default: all cores)\n\
-                     CGCT_INTRA_JOBS=<n> parallelizes *within* each run with the\n\
-                                conservative epoch engine (default: off; the\n\
-                                legacy single-threaded engine)\n\
                      CGCT_CACHE_DIR=<dir> result-cache root (default .cgct-cache)"
                 );
                 std::process::exit(0);
             }
             "--quick" => quick = true,
             "--serial" => serial = true,
-            "--intra-serial" => intra_serial = true,
             "--no-skip" => no_skip = true,
             "--sanitize" => sanitize = true,
             "--no-cache" => no_cache = true,
@@ -207,7 +190,6 @@ fn parse_args() -> Args {
         operand,
         quick,
         serial,
-        intra_serial,
         no_skip,
         sanitize,
         no_cache,
@@ -644,12 +626,6 @@ fn main() {
         // Force every pool in the process (including library-internal
         // fan-outs like rca_stats) down to one in-order worker.
         std::env::set_var("CGCT_JOBS", "1");
-    }
-    if args.intra_serial {
-        // Every Machine in the process uses the conservative epoch
-        // engine on one worker — the reference whose outputs a
-        // CGCT_INTRA_JOBS=<n> run must reproduce byte for byte.
-        std::env::set_var("CGCT_INTRA_JOBS", "1");
     }
     if args.no_skip {
         // Every Machine in the process falls back to the cycle-stepped

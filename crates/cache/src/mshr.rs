@@ -12,37 +12,32 @@ use cgct_trace::{EventKind, TraceEvent, TraceSink, UNKEYED};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MshrId(pub usize);
 
-#[derive(Debug, Clone)]
-struct Slot<T> {
-    line: LineAddr,
-    waiters: Vec<T>,
-}
-
-/// A file of MSHRs tracking outstanding line misses, each carrying a list
-/// of waiter tokens (e.g. load-queue indices) to wake on fill.
+/// A file of MSHRs, each tracking one outstanding line miss and the cycle
+/// its fill arrives. A secondary miss to the same line merges by sharing
+/// that fill time; nothing else about it needs recording.
 ///
 /// # Examples
 ///
 /// ```
 /// use cgct_cache::{LineAddr, MshrFile};
+/// use cgct_sim::Cycle;
 ///
-/// let mut m: MshrFile<u32> = MshrFile::new(2);
-/// let id = m.allocate(LineAddr(5), 100).expect("free slot");
-/// assert!(m.find(LineAddr(5)).is_some());
-/// m.add_waiter(id, 101);
-/// let (line, waiters) = m.complete(id);
-/// assert_eq!(line, LineAddr(5));
-/// assert_eq!(waiters, vec![100, 101]);
+/// let mut m = MshrFile::new(2);
+/// let id = m.allocate(LineAddr(5), Cycle(100)).expect("free slot");
+/// assert_eq!(m.find(LineAddr(5)), Some(id));
+/// assert_eq!(m.fill(id), Cycle(100));
+/// assert_eq!(m.complete(id), (LineAddr(5), Cycle(100)));
+/// assert_eq!(m.find(LineAddr(5)), None);
 /// ```
 #[derive(Debug, Clone)]
-pub struct MshrFile<T> {
-    slots: Vec<Option<Slot<T>>>,
+pub struct MshrFile {
+    slots: Vec<Option<(LineAddr, Cycle)>>,
     /// Occupied-slot count, kept in step with `slots` so the per-issue
     /// full check is O(1) instead of a scan.
     live: usize,
 }
 
-impl<T> MshrFile<T> {
+impl MshrFile {
     /// Creates a file with `capacity` registers.
     ///
     /// # Panics
@@ -51,7 +46,7 @@ impl<T> MshrFile<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "MSHR file needs at least one register");
         MshrFile {
-            slots: (0..capacity).map(|_| None).collect(),
+            slots: vec![None; capacity],
             live: 0,
         }
     }
@@ -76,35 +71,24 @@ impl<T> MshrFile<T> {
     pub fn find(&self, line: LineAddr) -> Option<MshrId> {
         self.slots
             .iter()
-            .position(|s| s.as_ref().is_some_and(|slot| slot.line == line))
+            .position(|s| s.is_some_and(|(l, _)| l == line))
             .map(MshrId)
     }
 
-    /// Allocates a register for a primary miss to `line` with an initial
-    /// waiter. Returns `None` when the file is full (the miss must stall).
-    pub fn allocate(&mut self, line: LineAddr, waiter: T) -> Option<MshrId> {
+    /// Allocates the first free register for a primary miss to `line`
+    /// whose fill arrives at `fill`. Returns `None` when the file is full
+    /// (the miss must stall).
+    pub fn allocate(&mut self, line: LineAddr, fill: Cycle) -> Option<MshrId> {
         debug_assert!(self.find(line).is_none(), "line {line} already has an MSHR");
-        let idx = self.slots.iter().position(|s| s.is_none())?;
-        self.slots[idx] = Some(Slot {
-            line,
-            waiters: vec![waiter],
-        });
+        let idx = self.slots.iter().position(Option::is_none)?;
+        self.slots[idx] = Some((line, fill));
         self.live += 1;
         Some(MshrId(idx))
     }
 
-    /// Adds a waiter to an allocated register (secondary miss merge).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not allocated.
-    pub fn add_waiter(&mut self, id: MshrId, waiter: T) {
-        self.slots[id.0]
-            .as_mut()
-            // cgct-lint: allow(D006) MshrId is a capability handed out by allocate(); an invalid id is a protocol bug and must fail-stop
-            .expect("MSHR not allocated")
-            .waiters
-            .push(waiter);
+    fn slot(&self, id: MshrId) -> (LineAddr, Cycle) {
+        // cgct-lint: allow(D006) MshrId is a capability handed out by allocate(); an invalid id is a protocol bug and must fail-stop
+        self.slots[id.0].expect("MSHR not allocated")
     }
 
     /// The line a register is tracking.
@@ -113,72 +97,53 @@ impl<T> MshrFile<T> {
     ///
     /// Panics if `id` is not allocated.
     pub fn line(&self, id: MshrId) -> LineAddr {
-        // cgct-lint: allow(D006) MshrId is a capability handed out by allocate(); an invalid id is a protocol bug and must fail-stop
-        self.slots[id.0].as_ref().expect("MSHR not allocated").line
+        self.slot(id).0
     }
 
-    /// The primary (first) waiter of a register — e.g. the completion time
-    /// recorded when the miss was issued, which secondary misses share.
+    /// The fill time of a register, which secondary misses share.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not allocated.
-    pub fn primary(&self, id: MshrId) -> &T {
-        self.slots[id.0]
-            .as_ref()
-            // cgct-lint: allow(D006) MshrId is a capability handed out by allocate(); an invalid id is a protocol bug and must fail-stop
-            .expect("MSHR not allocated")
-            .waiters
-            .first()
-            // cgct-lint: allow(D006) allocate() always records the primary waiter; its absence is a protocol bug and must fail-stop
-            .expect("allocate always records a primary waiter")
+    pub fn fill(&self, id: MshrId) -> Cycle {
+        self.slot(id).1
     }
 
-    /// The primary waiter of register `id`, or `None` if the slot is
-    /// free. Unlike [`MshrFile::primary`], this does not panic.
-    pub fn get_primary(&self, id: MshrId) -> Option<&T> {
-        self.slots
-            .get(id.0)
-            .and_then(|s| s.as_ref())
-            .and_then(|slot| slot.waiters.first())
-    }
-
-    /// Completes the miss: frees the register and returns the line and all
-    /// merged waiters.
+    /// Completes the miss: frees the register and returns its line and
+    /// fill time.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not allocated.
-    pub fn complete(&mut self, id: MshrId) -> (LineAddr, Vec<T>) {
-        // cgct-lint: allow(D006) MshrId is a capability handed out by allocate(); freeing an invalid id is a protocol bug and must fail-stop
-        let slot = self.slots[id.0].take().expect("MSHR not allocated");
+    pub fn complete(&mut self, id: MshrId) -> (LineAddr, Cycle) {
+        let slot = self.slot(id);
+        self.slots[id.0] = None;
         self.live -= 1;
-        (slot.line, slot.waiters)
+        slot
     }
-}
 
-/// Trace-aware variants for MSHR files whose waiter token is the fill
-/// completion time (the shape the cores use): identical behaviour to
-/// [`MshrFile::find`]/[`MshrFile::allocate`], plus an
-/// [`EventKind::MshrMerge`]/[`EventKind::MshrAlloc`] record in `sink`.
-///
-/// Tracing is observation only — the sink never changes what is
-/// allocated or found.
-impl MshrFile<Cycle> {
-    /// The earliest primary fill time across all allocated registers —
-    /// the next cycle at which this file releases a miss. This is the
-    /// MSHR-fill completion the machine's event-driven clock jumps to;
-    /// `None` when no miss is outstanding.
+    /// Frees every register whose fill has arrived by `now` and returns
+    /// the earliest fill still outstanding, if any.
+    pub fn retire_filled(&mut self, now: Cycle) -> Option<Cycle> {
+        for s in &mut self.slots {
+            if s.is_some_and(|(_, fill)| fill <= now) {
+                *s = None;
+                self.live -= 1;
+            }
+        }
+        self.next_fill()
+    }
+
+    /// The earliest fill time across all allocated registers — the next
+    /// cycle at which this file releases a miss; `None` when no miss is
+    /// outstanding.
     pub fn next_fill(&self) -> Option<Cycle> {
-        self.slots
-            .iter()
-            .flatten()
-            .filter_map(|slot| slot.waiters.first().copied())
-            .min()
+        self.slots.iter().flatten().map(|&(_, fill)| fill).min()
     }
 
     /// [`MshrFile::find`] that, on a merge hit, records the merge and
-    /// the remaining wait (`fill - now`) for the secondary access.
+    /// the remaining wait (`fill - now`) for the secondary access in
+    /// `sink`. Tracing is observation only.
     pub fn find_merge_traced(
         &self,
         line: LineAddr,
@@ -187,20 +152,19 @@ impl MshrFile<Cycle> {
         sink: &mut dyn TraceSink,
     ) -> Option<MshrId> {
         let id = self.find(line)?;
-        let fill = *self.primary(id);
         sink.record(TraceEvent {
             node,
             seq: UNKEYED,
             cycle: now.0,
             kind: EventKind::MshrMerge {
                 line: line.0,
-                wait: fill.0.saturating_sub(now.0),
+                wait: self.fill(id).0.saturating_sub(now.0),
             },
         });
         Some(id)
     }
 
-    /// [`MshrFile::allocate`] that records the allocation.
+    /// [`MshrFile::allocate`] that records the allocation in `sink`.
     pub fn allocate_traced(
         &mut self,
         line: LineAddr,
@@ -220,10 +184,11 @@ impl MshrFile<Cycle> {
     }
 }
 
-impl<T: cgct_sim::Snap> cgct_sim::Snap for MshrFile<T> {
-    /// Slots serialize positionally (`null` for a free register) and
-    /// waiters in order, so first-free allocation, merge lookup, and the
-    /// primary-waiter convention all replay identically after restore.
+impl cgct_sim::Snap for MshrFile {
+    /// Slots serialize positionally (`null` for a free register), so
+    /// first-free allocation and merge lookup replay identically after
+    /// restore. Each occupied slot keeps the `waiters` list shape of
+    /// earlier versions, holding exactly the fill time.
     fn snap(&self) -> cgct_sim::Json {
         use cgct_sim::Json;
         Json::Array(
@@ -231,9 +196,9 @@ impl<T: cgct_sim::Snap> cgct_sim::Snap for MshrFile<T> {
                 .iter()
                 .map(|s| match s {
                     None => Json::Null,
-                    Some(slot) => Json::obj([
-                        ("line", Json::u64(slot.line.0)),
-                        ("waiters", slot.waiters.snap()),
+                    Some((line, fill)) => Json::obj([
+                        ("line", Json::u64(line.0)),
+                        ("waiters", Json::Array(vec![fill.snap()])),
                     ]),
                 })
                 .collect(),
@@ -252,14 +217,14 @@ impl<T: cgct_sim::Snap> cgct_sim::Snap for MshrFile<T> {
             if matches!(s, Json::Null) {
                 continue;
             }
-            let waiters: Vec<T> = unsnap_field(s, "waiters")?;
-            if waiters.is_empty() {
-                return Err(format!("slot [{i}] has no primary waiter"));
-            }
-            m.slots[i] = Some(Slot {
-                line: LineAddr(field(s, "line")?.as_u64().ok_or("line must be u64")?),
-                waiters,
-            });
+            // Only the primary waiter — the fill time — was ever read;
+            // merged waiters of older snapshots carry nothing else.
+            let waiters: Vec<Cycle> = unsnap_field(s, "waiters")?;
+            let Some(&fill) = waiters.first() else {
+                return Err(format!("slot [{i}] has no fill time"));
+            };
+            let line = LineAddr(field(s, "line")?.as_u64().ok_or("line must be u64")?);
+            m.slots[i] = Some((line, fill));
             m.live += 1;
         }
         Ok(m)
@@ -272,66 +237,53 @@ mod tests {
 
     #[test]
     fn allocate_until_full() {
-        let mut m: MshrFile<()> = MshrFile::new(3);
+        let mut m = MshrFile::new(3);
         for i in 0..3 {
-            assert!(m.allocate(LineAddr(i), ()).is_some());
+            assert!(m.allocate(LineAddr(i), Cycle(i)).is_some());
         }
         assert!(m.is_full());
-        assert_eq!(m.allocate(LineAddr(99), ()), None);
+        assert_eq!(m.allocate(LineAddr(99), Cycle(9)), None);
         assert_eq!(m.in_use(), 3);
     }
 
     #[test]
-    fn merge_secondary_misses() {
-        let mut m: MshrFile<u8> = MshrFile::new(2);
-        let id = m.allocate(LineAddr(7), 1).unwrap();
+    fn secondary_misses_share_the_fill() {
+        let mut m = MshrFile::new(2);
+        let id = m.allocate(LineAddr(7), Cycle(40)).unwrap();
         assert_eq!(m.find(LineAddr(7)), Some(id));
-        m.add_waiter(id, 2);
-        m.add_waiter(id, 3);
-        let (line, waiters) = m.complete(id);
-        assert_eq!(line, LineAddr(7));
-        assert_eq!(waiters, vec![1, 2, 3]);
+        assert_eq!(m.fill(id), Cycle(40));
+        assert_eq!(m.complete(id), (LineAddr(7), Cycle(40)));
         assert_eq!(m.in_use(), 0);
         assert_eq!(m.find(LineAddr(7)), None);
     }
 
     #[test]
     fn slots_are_reusable_after_completion() {
-        let mut m: MshrFile<()> = MshrFile::new(1);
-        let id = m.allocate(LineAddr(1), ()).unwrap();
+        let mut m = MshrFile::new(1);
+        let id = m.allocate(LineAddr(1), Cycle(1)).unwrap();
         m.complete(id);
-        assert!(m.allocate(LineAddr(2), ()).is_some());
+        assert!(m.allocate(LineAddr(2), Cycle(2)).is_some());
     }
 
     #[test]
     #[should_panic(expected = "at least one register")]
     fn rejects_zero_capacity() {
-        let _: MshrFile<()> = MshrFile::new(0);
+        let _ = MshrFile::new(0);
     }
 
     #[test]
     fn line_accessor() {
-        let mut m: MshrFile<()> = MshrFile::new(2);
-        let id = m.allocate(LineAddr(42), ()).unwrap();
+        let mut m = MshrFile::new(2);
+        let id = m.allocate(LineAddr(42), Cycle(5)).unwrap();
         assert_eq!(m.line(id), LineAddr(42));
     }
 
     #[test]
-    fn primary_waiter_is_the_allocation_token() {
-        let mut m: MshrFile<u32> = MshrFile::new(2);
-        let id = m.allocate(LineAddr(1), 77).unwrap();
-        m.add_waiter(id, 88);
-        assert_eq!(*m.primary(id), 77);
-    }
-
-    #[test]
-    fn next_fill_is_earliest_primary() {
-        let mut m: MshrFile<Cycle> = MshrFile::new(4);
+    fn next_fill_is_earliest() {
+        let mut m = MshrFile::new(4);
         assert_eq!(m.next_fill(), None);
         let a = m.allocate(LineAddr(1), Cycle(300)).unwrap();
         m.allocate(LineAddr(2), Cycle(200)).unwrap();
-        // Secondary waiters never move the fill time.
-        m.add_waiter(a, Cycle(100));
         assert_eq!(m.next_fill(), Some(Cycle(200)));
         let b = m.find(LineAddr(2)).unwrap();
         m.complete(b);
@@ -341,8 +293,43 @@ mod tests {
     }
 
     #[test]
+    fn retire_filled_frees_due_slots_and_reports_the_rest() {
+        let mut m = MshrFile::new(4);
+        m.allocate(LineAddr(1), Cycle(300)).unwrap();
+        m.allocate(LineAddr(2), Cycle(200)).unwrap();
+        m.allocate(LineAddr(3), Cycle(250)).unwrap();
+        assert_eq!(m.retire_filled(Cycle(199)), Some(Cycle(200)));
+        assert_eq!(m.in_use(), 3);
+        assert_eq!(m.retire_filled(Cycle(250)), Some(Cycle(300)));
+        assert_eq!(m.in_use(), 1);
+        assert_eq!(m.find(LineAddr(1)), Some(MshrId(0)));
+        // The first free slot is reused.
+        assert_eq!(m.allocate(LineAddr(4), Cycle(400)), Some(MshrId(1)));
+        assert_eq!(m.retire_filled(Cycle(400)), None);
+        assert_eq!(m.in_use(), 0);
+    }
+
+    #[test]
+    fn snapshot_keeps_the_waiters_shape_and_reads_merged_waiters() {
+        use cgct_sim::{Json, Snap};
+        let mut m = MshrFile::new(3);
+        m.allocate(LineAddr(9), Cycle(500)).unwrap();
+        m.allocate(LineAddr(4), Cycle(80)).unwrap();
+        m.complete(MshrId(0));
+        let dump = m.snap().dump();
+        assert_eq!(dump, r#"[null,{"line":4,"waiters":[80]},null]"#);
+        let back = MshrFile::unsnap(&Json::parse(&dump).unwrap()).unwrap();
+        assert_eq!(back.snap().dump(), dump);
+        // A snapshot with merged waiters restores to its primary fill.
+        let old = Json::parse(r#"[{"line":7,"waiters":[120,95]},null]"#).unwrap();
+        let restored = MshrFile::unsnap(&old).unwrap();
+        assert_eq!(restored.fill(MshrId(0)), Cycle(120));
+        assert!(MshrFile::unsnap(&Json::parse(r#"[{"line":7,"waiters":[]}]"#).unwrap()).is_err());
+    }
+
+    #[test]
     fn traced_variants_record_and_match_untraced() {
-        let mut m: MshrFile<Cycle> = MshrFile::new(2);
+        let mut m = MshrFile::new(2);
         let mut sink = cgct_trace::TraceBuffer::new(16);
         let id = m
             .allocate_traced(LineAddr(9), Cycle(500), 3, Cycle(100), &mut sink)

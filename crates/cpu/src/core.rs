@@ -18,28 +18,8 @@ use cgct_cache::{Addr, LineAddr, MshrFile};
 use cgct_sim::Cycle;
 use std::collections::VecDeque;
 
-/// Outcome of a non-blocking memory attempt (`try_*` on
-/// [`MemoryInterface`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemAttempt {
-    /// The access was accepted; it completes at the given cycle.
-    Done(Cycle),
-    /// The memory system cannot answer mid-epoch (conservative parallel
-    /// mode, DESIGN.md "Concurrency & determinism model"): nothing was
-    /// allocated or modified on behalf of the access, and the core must
-    /// re-attempt it no earlier than the given cycle.
-    Blocked(Cycle),
-}
-
 /// The memory hierarchy as seen by one core. All methods return the
 /// completion time of the access (`now + 1` for an L1 hit).
-///
-/// The `try_*` variants let an implementation *defer* an access instead
-/// of answering synchronously — the epoch-parallel engine answers L1
-/// hits immediately and queues everything else for its serial coherence
-/// phase. The defaults delegate to the blocking methods and never
-/// block, so the legacy single-threaded engine (and every test mock)
-/// behaves exactly as before; the core only ever calls `try_*`.
 pub trait MemoryInterface {
     /// Fetches the instruction-cache line containing `addr`.
     fn ifetch(&mut self, now: Cycle, addr: Addr) -> Cycle;
@@ -50,22 +30,6 @@ pub trait MemoryInterface {
     fn store(&mut self, now: Cycle, addr: Addr) -> Cycle;
     /// Data-cache-block-zero.
     fn dcbz(&mut self, now: Cycle, addr: Addr) -> Cycle;
-    /// Non-blocking [`MemoryInterface::ifetch`].
-    fn try_ifetch(&mut self, now: Cycle, addr: Addr) -> MemAttempt {
-        MemAttempt::Done(self.ifetch(now, addr))
-    }
-    /// Non-blocking [`MemoryInterface::load`].
-    fn try_load(&mut self, now: Cycle, addr: Addr, store_intent: bool) -> MemAttempt {
-        MemAttempt::Done(self.load(now, addr, store_intent))
-    }
-    /// Non-blocking [`MemoryInterface::store`].
-    fn try_store(&mut self, now: Cycle, addr: Addr) -> MemAttempt {
-        MemAttempt::Done(self.store(now, addr))
-    }
-    /// Non-blocking [`MemoryInterface::dcbz`].
-    fn try_dcbz(&mut self, now: Cycle, addr: Addr) -> MemAttempt {
-        MemAttempt::Done(self.dcbz(now, addr))
-    }
 }
 
 /// The earliest cycle at which a core might make progress again.
@@ -193,7 +157,7 @@ pub struct Core {
     /// Outstanding load-miss lines, keyed by line, carrying the shared
     /// completion time. Bounds load-level parallelism and merges
     /// secondary misses onto the primary's fill.
-    load_mshrs: MshrFile<Cycle>,
+    load_mshrs: MshrFile,
     /// Earliest primary fill among `load_mshrs` (`u64::MAX` when none):
     /// the retire stage scans the file only when a fill is actually due,
     /// and `next_event` reads this instead of re-deriving the minimum.
@@ -201,14 +165,8 @@ pub struct Core {
     /// Optional trace sink for MSHR alloc/merge events, tagged with
     /// this core's id. `None` (the default) records nothing and is the
     /// zero-cost path; the sink never influences core behaviour. `Send`
-    /// so cores can migrate across epoch-engine workers.
+    /// so a core can move with its machine across pool workers.
     trace: Option<(u8, Box<dyn cgct_trace::TraceSink + Send>)>,
-    /// Earliest cycle a [`MemAttempt::Blocked`] load may be re-issued
-    /// (epoch engine only; stays in the past under the legacy engine).
-    issue_retry_at: Cycle,
-    /// Earliest cycle the store buffer's blocked front entry may be
-    /// re-attempted (epoch engine only).
-    store_retry_at: Cycle,
     stats: CoreStats,
 }
 
@@ -254,8 +212,6 @@ impl Core {
             load_mshrs: MshrFile::new(cfg.load_mshrs),
             earliest_fill: u64::MAX,
             trace: None,
-            issue_retry_at: Cycle::ZERO,
-            store_retry_at: Cycle::ZERO,
             stats: CoreStats::default(),
         }
     }
@@ -359,11 +315,7 @@ impl Core {
             || issue_force
             || committed >= self.cfg.commit_width as u64
             || (!self.store_buffer.is_empty()
-                && self.stores_in_flight.len() < self.cfg.store_mshrs
-                // A buffer whose front was deferred mid-epoch busy-waits
-                // on `store_retry_at` (a `next_event` candidate), not on
-                // every cycle.
-                && self.store_retry_at <= now);
+                && self.stores_in_flight.len() < self.cfg.store_mshrs);
         if force {
             return Wakeup(now + 1);
         }
@@ -429,14 +381,6 @@ impl Core {
                     wake = wake.min(t.0);
                 }
             }
-            if self.store_retry_at > now {
-                wake = wake.min(self.store_retry_at.0);
-            }
-        }
-        // A load deferred mid-epoch re-issues at the retry time (epoch
-        // engine only; under the legacy engine this never arms).
-        if !self.unissued_seqs.is_empty() && self.issue_retry_at > now {
-            wake = wake.min(self.issue_retry_at.0);
         }
         // Fetch stalls matter only when fetch could otherwise run: queue
         // space and no unresolved redirect (a redirect resolves through
@@ -456,30 +400,13 @@ impl Core {
         }
     }
 
-    fn retire_load_mshrs(&mut self, now: Cycle) -> bool {
+    fn retire_load_mshrs(&mut self, now: Cycle) {
         // Free registers whose fills have arrived. The cached minimum
         // makes the no-fill-due case (the vast majority of ticks) a
-        // single compare; the scan below re-derives it from what stays.
-        if self.earliest_fill > now.0 {
-            return false;
+        // single compare; the scan re-derives it from what stays.
+        if self.earliest_fill <= now.0 {
+            self.earliest_fill = self.load_mshrs.retire_filled(now).map_or(u64::MAX, |c| c.0);
         }
-        let mut any = false;
-        let mut earliest = u64::MAX;
-        for idx in 0..self.load_mshrs.capacity() {
-            let id = cgct_cache::MshrId(idx);
-            let done = match self.load_mshrs.get_primary(id) {
-                Some(&d) => d,
-                None => continue,
-            };
-            if done <= now {
-                let _ = self.load_mshrs.complete(id);
-                any = true;
-            } else {
-                earliest = earliest.min(done.0);
-            }
-        }
-        self.earliest_fill = earliest;
-        any
     }
 
     fn drain_store_buffer(&mut self, now: Cycle, mem: &mut dyn MemoryInterface) -> bool {
@@ -492,18 +419,9 @@ impl Core {
             let Some(&(kind, addr)) = self.store_buffer.front() else {
                 return any;
             };
-            let attempt = match kind {
-                StoreKind::Store => mem.try_store(now, addr),
-                StoreKind::Dcbz => mem.try_dcbz(now, addr),
-            };
-            let done = match attempt {
-                MemAttempt::Done(done) => done,
-                MemAttempt::Blocked(retry) => {
-                    // In-order drain: a blocked front entry parks the
-                    // whole buffer until the memory system can answer.
-                    self.store_retry_at = retry;
-                    return any;
-                }
+            let done = match kind {
+                StoreKind::Store => mem.store(now, addr),
+                StoreKind::Dcbz => mem.dcbz(now, addr),
             };
             self.store_buffer.pop_front();
             any = true;
@@ -662,39 +580,25 @@ impl Core {
                     if let Some(id) = merged {
                         // Secondary miss: share the in-flight fill.
                         self.stats.loads += 1;
-                        *self.load_mshrs.primary(id)
+                        self.load_mshrs.fill(id)
                     } else {
-                        match mem.try_load(now, addr, store_intent) {
-                            MemAttempt::Done(done) => {
-                                self.stats.loads += 1;
-                                if done > now + 1 {
-                                    // A real miss occupies an MSHR until it fills.
-                                    let _ = match &mut self.trace {
-                                        Some((id, sink)) => self.load_mshrs.allocate_traced(
-                                            line,
-                                            done,
-                                            *id,
-                                            now,
-                                            sink.as_mut(),
-                                        ),
-                                        None => self.load_mshrs.allocate(line, done),
-                                    };
-                                    self.earliest_fill = self.earliest_fill.min(done.0);
-                                }
-                                done
-                            }
-                            MemAttempt::Blocked(retry) => {
-                                // Mid-epoch deferral: release the port,
-                                // keep the entry unissued, try again once
-                                // the serial phase has answered.
-                                avail[fu] += 1;
-                                self.issue_retry_at = retry;
-                                self.unissued_seqs[write] = seq;
-                                write += 1;
-                                read += 1;
-                                continue;
-                            }
+                        let done = mem.load(now, addr, store_intent);
+                        self.stats.loads += 1;
+                        if done > now + 1 {
+                            // A real miss occupies an MSHR until it fills.
+                            let _ = match &mut self.trace {
+                                Some((id, sink)) => self.load_mshrs.allocate_traced(
+                                    line,
+                                    done,
+                                    *id,
+                                    now,
+                                    sink.as_mut(),
+                                ),
+                                None => self.load_mshrs.allocate(line, done),
+                            };
+                            self.earliest_fill = self.earliest_fill.min(done.0);
                         }
+                        done
                     }
                 }
                 // Stores/dcbz only compute their address here; the data
@@ -798,23 +702,12 @@ impl Core {
             // Instruction cache: fetching a new line may stall.
             let line = fetched.uop.pc >> 6;
             if self.current_fetch_line != Some(line) {
-                match mem.try_ifetch(now, Addr(fetched.uop.pc)) {
-                    MemAttempt::Done(ready) => {
-                        self.current_fetch_line = Some(line);
-                        if ready > now + 1 {
-                            self.fetch_line_ready = ready;
-                            self.pending_fetch = Some(fetched);
-                            break;
-                        }
-                    }
-                    MemAttempt::Blocked(retry) => {
-                        // Mid-epoch deferral: `current_fetch_line` stays
-                        // unset so the retry re-asks the icache, which
-                        // by then has the serial phase's answer.
-                        self.fetch_line_ready = retry;
-                        self.pending_fetch = Some(fetched);
-                        break;
-                    }
+                let ready = mem.ifetch(now, Addr(fetched.uop.pc));
+                self.current_fetch_line = Some(line);
+                if ready > now + 1 {
+                    self.fetch_line_ready = ready;
+                    self.pending_fetch = Some(fetched);
+                    break;
                 }
             }
             let redirect = fetched.redirect;
@@ -946,8 +839,10 @@ impl Core {
             ("stores_in_flight", self.stores_in_flight.snap()),
             ("load_mshrs", self.load_mshrs.snap()),
             ("earliest_fill", Json::u64(self.earliest_fill)),
-            ("issue_retry_at", self.issue_retry_at.snap()),
-            ("store_retry_at", self.store_retry_at.snap()),
+            // Retired fields, written as zero so the checkpoint format
+            // is unchanged; `restore_state` ignores them.
+            ("issue_retry_at", Cycle::ZERO.snap()),
+            ("store_retry_at", Cycle::ZERO.snap()),
             ("stats", self.stats.snap()),
         ])
     }
@@ -1008,8 +903,6 @@ impl Core {
         self.stores_in_flight = stores_in_flight;
         self.load_mshrs = load_mshrs;
         self.earliest_fill = unsnap_field(v, "earliest_fill")?;
-        self.issue_retry_at = unsnap_field(v, "issue_retry_at")?;
-        self.store_retry_at = unsnap_field(v, "store_retry_at")?;
         self.stats = unsnap_field(v, "stats")?;
         Ok(())
     }

@@ -25,6 +25,6 @@ pub mod uop;
 
 pub use bpred::BranchPredictor;
 pub use config::CoreConfig;
-pub use core::{Core, CoreStats, MemAttempt, MemoryInterface, Wakeup};
+pub use core::{Core, CoreStats, MemoryInterface, Wakeup};
 pub use prefetch::{PrefetchRequest, StreamPrefetcher};
 pub use uop::{BranchKind, Uop, UopKind, UopSource};

@@ -3,18 +3,15 @@
 //! The memory system is discrete-event: the arbiter, the memory
 //! controllers, the snoop-response combiner, the data ports, and the
 //! MSHR fill paths all schedule a [`MemEvent`] on the machine's central
-//! [`cgct_sim::EventQueue`] at the cycle their work completes. The
-//! machine's run loop advances `now` to the earliest of the core
-//! wakeups and the queue head (see `Machine::run_until` in
-//! `cgct-system`), so wall-clock tracks the number of events, not the
-//! number of simulated cycles. The cycle-stepped reference
-//! (`CGCT_NO_SKIP`) drains the same queue once per cycle instead.
+//! [`cgct_sim::EventQueue`] at the cycle their work completes.
 //!
 //! Events are pure *completion notifications*: every architectural
 //! state transition is applied synchronously inside the atomic-bus
 //! coherence engine when the request is processed, so delivering an
-//! event mutates nothing — it only marks a point in time the clock must
-//! not skip past, and feeds the `memory_events_per_sec` throughput
+//! event mutates nothing. The machine's clock follows the core wakeups
+//! alone (see `Machine::run_until` in `cgct-system`); each time it
+//! stops, the queue retires every event due by then and counts it for
+//! the `mem_events` figure and the `memory_events_per_sec` throughput
 //! diagnostic in `BENCH_cgct.json`.
 
 /// One memory-path completion, scheduled at the cycle it happens.

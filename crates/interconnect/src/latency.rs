@@ -138,44 +138,6 @@ impl LatencyModel {
     pub fn direct_advantage(&self, dist: DistanceClass) -> i64 {
         self.snoop_memory_access(dist) as i64 - self.direct_memory_access(dist) as i64
     }
-
-    /// The conservative-parallel lookahead for `topo`, in CPU cycles:
-    /// the minimum latency at which one node's activity can become
-    /// visible to another node's architectural state.
-    ///
-    /// Two mechanisms bound it from below (DESIGN.md, "Concurrency &
-    /// determinism model"):
-    ///
-    /// * every cross-node state change (snoop application, ownership
-    ///   transfer) happens at a **bus grant**, and the address network
-    ///   arbitrates on the 150 MHz system clock — one broadcast per
-    ///   [`CPU_CYCLES_PER_SYSTEM_CYCLE`](cgct_sim::CPU_CYCLES_PER_SYSTEM_CYCLE)
-    ///   CPU cycles, aligned to it;
-    /// * the fastest point-to-point delivery between two distinct nodes
-    ///   is the direct-request latency at their distance class (1 CPU
-    ///   cycle for same-chip neighbours).
-    ///
-    /// The lookahead is the larger of the two — for the paper machine,
-    /// one system cycle (10 CPU cycles): a node that has processed all
-    /// inputs up to time `T` can safely advance to `T + lookahead`
-    /// before synchronizing, because no other node's request issued at
-    /// or after `T` can be granted, delivered, or snooped sooner.
-    pub fn epoch_lookahead(&self, topo: &crate::topology::Topology) -> u64 {
-        use crate::topology::CoreId;
-        let n = topo.total_cores();
-        let mut min_delivery = u64::MAX;
-        for a in 0..n {
-            for b in 0..n {
-                if a != b {
-                    let d = topo.core_distance(CoreId(a), CoreId(b));
-                    min_delivery = min_delivery.min(self.direct_request(d));
-                }
-            }
-        }
-        // A single-node machine has no cross-node traffic at all; any
-        // positive lookahead is safe, so fall through to the bus clock.
-        min_delivery.max(cgct_sim::CPU_CYCLES_PER_SYSTEM_CYCLE)
-    }
 }
 
 impl Default for LatencyModel {
@@ -241,47 +203,5 @@ mod tests {
     #[test]
     fn distance_ordering() {
         assert!(SameChip < SameSwitch && SameSwitch < SameBoard && SameBoard < Remote);
-    }
-
-    #[test]
-    fn epoch_lookahead_is_one_system_cycle_for_the_paper_machine() {
-        use crate::topology::Topology;
-        let m = LatencyModel::paper_default();
-        // Same-chip neighbours can deliver a direct request in 1 CPU
-        // cycle, but nothing coherent happens off-grant and grants are
-        // one per system clock: the bus clock is the binding floor.
-        assert_eq!(
-            m.epoch_lookahead(&Topology::paper_default()),
-            cgct_sim::CPU_CYCLES_PER_SYSTEM_CYCLE
-        );
-        assert_eq!(
-            m.epoch_lookahead(&Topology::two_boards()),
-            cgct_sim::CPU_CYCLES_PER_SYSTEM_CYCLE
-        );
-    }
-
-    #[test]
-    fn epoch_lookahead_never_exceeds_any_cross_node_path() {
-        use crate::topology::{CoreId, Topology};
-        let m = LatencyModel::paper_default();
-        for topo in [Topology::paper_default(), Topology::two_boards()] {
-            let la = m.epoch_lookahead(&topo);
-            let n = topo.total_cores();
-            for a in 0..n {
-                for b in 0..n {
-                    if a != b {
-                        let d = topo.core_distance(CoreId(a), CoreId(b));
-                        // Delivery may be faster than the lookahead
-                        // (same-chip: 1 cycle), but only because the
-                        // grant that precedes it is bus-clock aligned.
-                        assert!(
-                            la <= m
-                                .direct_request(d)
-                                .max(cgct_sim::CPU_CYCLES_PER_SYSTEM_CYCLE)
-                        );
-                    }
-                }
-            }
-        }
     }
 }

@@ -2,7 +2,7 @@
 //! static analyzer for the CGCT workspace.
 //!
 //! Every load-bearing guarantee in this repo (byte-identical artifacts
-//! across `CGCT_JOBS`/`CGCT_INTRA_JOBS`, sound result-cache hits,
+//! across `CGCT_JOBS`, sound result-cache hits,
 //! checkpoint/resume byte-equality) rests on source-level hygiene: no
 //! wall-clock reads, no randomized-iteration containers, no stray
 //! `env::var` outside the config seams, integer milli-unit statistics

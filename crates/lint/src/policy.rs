@@ -66,7 +66,6 @@ pub const COHERENCE_PATH_PREFIXES: &[&str] = &[
 pub const COHERENCE_PATH_FILES: &[&str] = &[
     "crates/system/src/memsys.rs",
     "crates/system/src/machine.rs",
-    "crates/system/src/epoch.rs",
     "crates/system/src/oracle.rs",
     "crates/system/src/directory.rs",
 ];

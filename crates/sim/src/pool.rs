@@ -24,24 +24,6 @@
 //! * `jobs = 1` (or `CGCT_JOBS=1`) degrades to a plain in-order loop on
 //!   the calling thread — no worker threads are spawned at all.
 //!
-//! # Intra-run parallelism
-//!
-//! Besides the across-items fan-out above, the pool hosts the two
-//! primitives of the *conservative parallel discrete-event* mode
-//! (DESIGN.md, "Concurrency & determinism model"), where the nodes of
-//! **one** simulated machine advance in parallel between coherence
-//! barriers:
-//!
-//! * [`EpochGate`] — a reusable sense-reversing barrier that separates
-//!   each epoch's parallel phase from its serial coherence phase;
-//! * [`intra_jobs`] — the `CGCT_INTRA_JOBS` knob (`None` = legacy
-//!   single-threaded engine, `Some(1)` = epoch engine run serially, the
-//!   `--intra-serial` reference mode, `Some(n)` = `n` workers).
-//!
-//! The same determinism rules apply: worker identity must never leak
-//! into results, so everything scheduling-order-sensitive happens in
-//! the serial phase, in canonical node order.
-//!
 //! # Examples
 //!
 //! ```
@@ -49,44 +31,6 @@
 //!
 //! let squares = pool::run_on(4, (0u64..32).collect(), |_idx, x| x * x);
 //! assert_eq!(squares, (0u64..32).map(|x| x * x).collect::<Vec<_>>());
-//! ```
-//!
-//! Epochs with a [`EpochGate`]: two workers each append to their own
-//! slot during the parallel phase; the gate's releaser (exactly one
-//! party per epoch) merges in canonical order during the serial phase.
-//!
-//! ```
-//! use cgct_sim::pool::EpochGate;
-//! use std::sync::Mutex;
-//!
-//! let gate = EpochGate::new(2);
-//! let slots = [Mutex::new(Vec::new()), Mutex::new(Vec::new())];
-//! let merged = Mutex::new(Vec::new());
-//! std::thread::scope(|scope| {
-//!     let (gate, slots, merged) = (&gate, &slots, &merged);
-//!     for w in 0..2usize {
-//!         scope.spawn(move || {
-//!             for epoch in 0..3 {
-//!                 slots[w].lock().unwrap().push((epoch, w)); // parallel phase
-//!                 if gate.wait() {
-//!                     // Exactly one releaser per epoch: serial phase.
-//!                     let mut m = merged.lock().unwrap();
-//!                     for s in slots {
-//!                         m.append(&mut s.lock().unwrap());
-//!                     }
-//!                 }
-//!                 gate.wait(); // serial phase done; next epoch may start
-//!             }
-//!         });
-//!     }
-//! });
-//! let merged = merged.into_inner().unwrap();
-//! assert_eq!(merged.len(), 6);
-//! // Within every epoch the merge order is canonical (slot 0 then 1).
-//! for e in 0..3 {
-//!     assert_eq!(merged[2 * e], (e, 0));
-//!     assert_eq!(merged[2 * e + 1], (e, 1));
-//! }
 //! ```
 
 use std::collections::VecDeque;
@@ -223,140 +167,6 @@ pub fn jobs_from(env_override: Option<&str>) -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
-}
-
-/// The intra-run worker count: `CGCT_INTRA_JOBS` parsed as a positive
-/// integer.
-///
-/// `None` (unset, empty, `0`, or unparsable) selects the legacy
-/// single-threaded engine; `Some(1)` selects the epoch engine run
-/// serially (the `--intra-serial` byte-identity reference); `Some(n)`
-/// shards the machine's logical processes over `n` workers.
-pub fn intra_jobs() -> Option<usize> {
-    // cgct-lint: allow(D004) this is the one documented read of CGCT_INTRA_JOBS; cgct-sim sits below the cgct-system config seam
-    intra_jobs_from(std::env::var("CGCT_INTRA_JOBS").ok().as_deref())
-}
-
-/// [`intra_jobs`] with the environment override passed explicitly
-/// (testable).
-pub fn intra_jobs_from(env_override: Option<&str>) -> Option<usize> {
-    let v = env_override?.trim();
-    if v.is_empty() {
-        return None;
-    }
-    v.parse::<usize>().ok().filter(|&n| n >= 1)
-}
-
-/// A reusable sense-reversing barrier for epoch-structured parallelism.
-///
-/// All `parties` threads call [`wait`](EpochGate::wait); every call
-/// blocks until the last party arrives, whose call returns `true` (all
-/// others return `false`). The gate then resets itself, so the same
-/// gate separates every epoch of a run — unlike [`std::sync::Barrier`],
-/// it is designed for millions of short epochs: waiters spin briefly
-/// (epoch phases are microseconds long), then park on a condition
-/// variable so an oversubscribed host — more parties than hardware
-/// threads — degrades to ordinary blocking instead of burning the CPU
-/// the releasing thread needs.
-///
-/// The release establishes a happens-before edge from every arriving
-/// thread to every released thread, so state written during one phase
-/// is visible to all parties in the next.
-///
-/// # Examples
-///
-/// ```
-/// use cgct_sim::pool::EpochGate;
-/// use std::sync::atomic::{AtomicUsize, Ordering};
-///
-/// let gate = EpochGate::new(3);
-/// let releases = AtomicUsize::new(0);
-/// std::thread::scope(|scope| {
-///     for _ in 0..3 {
-///         scope.spawn(|| {
-///             for _epoch in 0..10 {
-///                 if gate.wait() {
-///                     releases.fetch_add(1, Ordering::Relaxed);
-///                 }
-///             }
-///         });
-///     }
-/// });
-/// // Exactly one party released each of the 10 epochs.
-/// assert_eq!(releases.load(Ordering::Relaxed), 10);
-/// ```
-#[derive(Debug)]
-pub struct EpochGate {
-    parties: usize,
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
-    /// Parking lot for waiters that outlast the spin phase. The lock
-    /// guards nothing by itself — `generation` is the real state — but
-    /// flipping the sense *under* it closes the missed-wakeup race.
-    park: Mutex<()>,
-    parked: Condvar,
-}
-
-impl EpochGate {
-    /// Creates a gate for `parties` threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parties` is zero.
-    pub fn new(parties: usize) -> EpochGate {
-        assert!(parties >= 1, "EpochGate needs at least one party");
-        EpochGate {
-            parties,
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            park: Mutex::new(()),
-            parked: Condvar::new(),
-        }
-    }
-
-    /// Blocks until all parties have arrived; returns `true` for the
-    /// single arrival that released the gate.
-    pub fn wait(&self) -> bool {
-        let gen = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
-            // Last arrival: reset the counter, then flip the sense. The
-            // release-store on `generation` publishes the reset (and all
-            // parallel-phase writes) to every waiter's acquire-load; the
-            // park lock is held across the flip so no waiter can check
-            // the old sense and park between it and the notify.
-            self.arrived.store(0, Ordering::Release);
-            {
-                let _guard = self.park.lock().expect("epoch gate poisoned");
-                self.generation
-                    .store(gen.wrapping_add(1), Ordering::Release);
-            }
-            self.parked.notify_all();
-            return true;
-        }
-        // Spin first: epoch phases are short, and on an unloaded
-        // multi-core host the release lands within the spin window.
-        let mut spins = 0u32;
-        while self.generation.load(Ordering::Acquire) == gen {
-            spins += 1;
-            if spins < 1 << 7 {
-                std::hint::spin_loop();
-                continue;
-            }
-            // Park: re-check the sense under the lock (the releaser
-            // flips it under the same lock), then sleep until notified.
-            let mut guard = self.park.lock().expect("epoch gate poisoned");
-            while self.generation.load(Ordering::Acquire) == gen {
-                guard = self.parked.wait(guard).expect("epoch gate poisoned");
-            }
-            break;
-        }
-        false
-    }
-
-    /// Number of threads the gate synchronizes.
-    pub fn parties(&self) -> usize {
-        self.parties
-    }
 }
 
 /// Maps `f` over `items` on [`jobs`]`()` workers, preserving item order
@@ -587,53 +397,6 @@ mod tests {
         assert!(jobs_from(Some("0")) >= 1);
         assert!(jobs_from(Some("lots")) >= 1);
         assert!(jobs_from(None) >= 1);
-    }
-
-    #[test]
-    fn intra_jobs_from_parses_override() {
-        assert_eq!(intra_jobs_from(None), None);
-        assert_eq!(intra_jobs_from(Some("")), None);
-        assert_eq!(intra_jobs_from(Some("0")), None);
-        assert_eq!(intra_jobs_from(Some("junk")), None);
-        assert_eq!(intra_jobs_from(Some("1")), Some(1));
-        assert_eq!(intra_jobs_from(Some(" 4 ")), Some(4));
-    }
-
-    #[test]
-    fn epoch_gate_releases_exactly_one_party_per_epoch() {
-        const PARTIES: usize = 4;
-        const EPOCHS: usize = 200;
-        let gate = EpochGate::new(PARTIES);
-        assert_eq!(gate.parties(), PARTIES);
-        let releases = AtomicU64::new(0);
-        // A shared value written only by the releaser during its
-        // exclusive window and read by everyone next epoch: catches
-        // both lost releases and missing happens-before edges.
-        let shared = Mutex::new(0usize);
-        std::thread::scope(|scope| {
-            for _ in 0..PARTIES {
-                scope.spawn(|| {
-                    for epoch in 0..EPOCHS {
-                        if gate.wait() {
-                            releases.fetch_add(1, Ordering::Relaxed);
-                            *shared.lock().unwrap() = epoch + 1;
-                        }
-                        gate.wait();
-                        assert_eq!(*shared.lock().unwrap(), epoch + 1);
-                    }
-                });
-            }
-        });
-        // Two waits per epoch, each released exactly once.
-        assert_eq!(releases.load(Ordering::Relaxed), EPOCHS as u64);
-    }
-
-    #[test]
-    fn epoch_gate_single_party_never_blocks() {
-        let gate = EpochGate::new(1);
-        for _ in 0..10 {
-            assert!(gate.wait());
-        }
     }
 
     #[test]

@@ -283,8 +283,8 @@ impl FromIterator<f64> for RunningStats {
 /// Exact integer statistics accumulator in milli-units.
 ///
 /// Per-event accumulation inside a run must be order-independent and
-/// exact so that artifacts stay byte-identical across `CGCT_JOBS` /
-/// `CGCT_INTRA_JOBS` and across checkpoint/resume. `IntStats` keeps an
+/// exact so that artifacts stay byte-identical across `CGCT_JOBS` and
+/// across checkpoint/resume. `IntStats` keeps an
 /// exact integer sum (i128 — no overflow at any realistic run length)
 /// plus min/max, and only converts to `f64` at report time. Samples are
 /// in milli-units: a whole-unit sample (a latency in cycles, a line

@@ -3,7 +3,7 @@
 //! [`CheckpointRun`] drives the same warmup → reset → measure sequence
 //! as [`Machine::run_warmed`], but in caller-sized cycle segments with
 //! a serializable pause between any two of them. Segmentation is
-//! invisible to the simulation: the legacy run loop's stopping times
+//! invisible to the simulation: the run loop's stopping times
 //! are a superset of its progress times, so running to a cycle
 //! boundary, snapshotting, restoring, and continuing produces the
 //! byte-identical trajectory — and therefore the byte-identical
@@ -40,14 +40,13 @@ impl CheckpointRun {
     /// instructions per core under a `max_cycles` cap (the same plan
     /// shape as [`Machine::run_warmed`]).
     ///
-    /// The machine is forced onto the legacy engine — epoch-engine
-    /// mid-run state is not serializable — and must not have run yet.
+    /// The machine must not have run yet.
     ///
     /// # Errors
     ///
     /// Fails when tracing is on (traced runs are not checkpointable).
     pub fn new(
-        mut machine: Machine,
+        machine: Machine,
         warmup: u64,
         instructions: u64,
         max_cycles: u64,
@@ -55,7 +54,6 @@ impl CheckpointRun {
         if machine.trace() {
             return Err("checkpointed runs cannot be traced".to_string());
         }
-        machine.set_intra(None);
         Ok(CheckpointRun {
             machine,
             warmup,
@@ -182,7 +180,6 @@ impl CheckpointRun {
         let seed: u64 = unsnap_field(mv, "seed")?;
         let mut machine = Machine::new(cfg, spec, seed);
         machine.set_trace(false);
-        machine.set_intra(None);
         machine.restore(mv)?;
         let r = field(v, "run")?;
         Ok(CheckpointRun {
@@ -212,7 +209,6 @@ mod tests {
     fn machine(seed: u64) -> Machine {
         let mut m = Machine::new(cfg(), &by_name("ocean").unwrap(), seed);
         m.set_trace(false);
-        m.set_intra(None);
         m
     }
 

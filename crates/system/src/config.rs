@@ -303,7 +303,6 @@ impl SystemConfig {
 /// | `CGCT_CACHE`             | result cache (`0`/empty disables)                  | on             | here    |
 /// | `CGCT_CACHE_DIR`         | result-cache root directory                        | `.cgct-cache`  | here    |
 /// | `CGCT_JOBS`              | run-level worker-pool width                        | host cores     | [`cgct_sim::pool::jobs`] |
-/// | `CGCT_INTRA_JOBS`        | intra-run epoch-engine workers (unset = legacy)    | unset          | [`cgct_sim::pool::intra_jobs`] |
 /// | `CGCT_TEST_SEED`         | root seed for property tests                       | fixed          | `cgct_sim::check::root_seed` |
 ///
 /// Every knob is a host-side execution-strategy or observability

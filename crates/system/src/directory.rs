@@ -263,7 +263,9 @@ impl DirectoryController {
 #[derive(Debug, Clone)]
 pub struct RegionDirCache {
     sets: usize,
-    slots: Vec<Option<(u64, u64)>>, // (region, node-presence mask)
+    /// `(region, node-presence mask)` per slot; empty until the first
+    /// update, so building a machine does not write `sets` slots.
+    slots: Vec<Option<(u64, u64)>>,
     /// Lookups answered from the cache.
     pub hits: u64,
     /// Lookups that missed (slot empty or holding another region).
@@ -276,7 +278,7 @@ impl RegionDirCache {
         let sets = sets.max(1);
         RegionDirCache {
             sets,
-            slots: vec![None; sets],
+            slots: Vec::new(),
             hits: 0,
             misses: 0,
         }
@@ -288,30 +290,30 @@ impl RegionDirCache {
 
     /// The cached node-presence mask for `region`, if known.
     pub fn lookup(&mut self, region: RegionAddr) -> Option<u64> {
-        match self.slots[self.slot_of(region)] {
-            Some((r, mask)) if r == region.0 => {
-                self.hits += 1;
-                Some(mask)
-            }
-            _ => {
-                self.misses += 1;
-                None
-            }
+        let found = self.peek(region);
+        if found.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
         }
+        found
     }
 
     /// Installs or refreshes `region`'s mask (evicting any conflicting
     /// region in the same slot).
     pub fn update(&mut self, region: RegionAddr, mask: u64) {
         let slot = self.slot_of(region);
+        if self.slots.is_empty() {
+            self.slots.resize(self.sets, None);
+        }
         self.slots[slot] = Some((region.0, mask));
     }
 
     /// The stored mask for `region` without touching hit/miss counters
     /// (used by the sanitizer's exactness check).
     pub fn peek(&self, region: RegionAddr) -> Option<u64> {
-        match self.slots[self.slot_of(region)] {
-            Some((r, mask)) if r == region.0 => Some(mask),
+        match self.slots.get(self.slot_of(region)) {
+            Some(&Some((r, mask))) if r == region.0 => Some(mask),
             _ => None,
         }
     }
@@ -438,6 +440,9 @@ impl cgct_sim::Snap for RegionDirCache {
             let idx = u64::unsnap(&parts[0])? as usize;
             if idx >= cache.sets {
                 return Err(format!("region-dir-cache slot {idx} out of range"));
+            }
+            if cache.slots.is_empty() {
+                cache.slots.resize(cache.sets, None);
             }
             cache.slots[idx] = Some((u64::unsnap(&parts[1])?, u64::unsnap(&parts[2])?));
         }

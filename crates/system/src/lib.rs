@@ -32,7 +32,6 @@ pub mod checkpoint;
 pub mod config;
 pub mod directory;
 pub mod energy;
-mod epoch;
 pub mod experiments;
 pub mod machine;
 pub mod memsys;

@@ -321,13 +321,8 @@ impl RegionLineIndex {
 }
 
 /// One processor node's private state.
-///
-/// `pub(crate)` so the epoch engine (the crate-private `epoch` module) can lend each
-/// node to its logical process during an epoch's parallel phase; the
-/// node returns to [`MemorySystem::put_nodes`] before any coherence
-/// work runs.
 #[derive(Debug)]
-pub(crate) struct Node {
+struct Node {
     l1i: SetAssocArray<()>,
     l1d: SetAssocArray<MsiState>,
     l2: SetAssocArray<MoesiState>,
@@ -375,30 +370,6 @@ impl Node {
             self.lines.on_remove(geom, LineAddr(victim_key));
         }
         displaced
-    }
-
-    // ---------------------------------------------------------------
-    // Epoch-engine fast paths (crate::epoch)
-    // ---------------------------------------------------------------
-    // The only memory accesses the parallel phase may answer without
-    // the serial coherence phase. Each mirrors the *first probe* of the
-    // corresponding `MemorySystem` method exactly — including its LRU
-    // touch — and reads or writes nothing outside this node: no
-    // metrics, no perturbation RNG, no tracer, no bus.
-
-    /// [`MemorySystem::ifetch`]'s L1I fast path: hit (with LRU touch)?
-    pub(crate) fn l1i_hit(&mut self, line: LineAddr) -> bool {
-        self.l1i.access(line.0).is_some()
-    }
-
-    /// [`MemorySystem::load`]'s L1D fast path: hit in any state?
-    pub(crate) fn l1d_load_hit(&mut self, line: LineAddr) -> bool {
-        self.l1d.access(line.0).is_some()
-    }
-
-    /// [`MemorySystem::store`]'s L1D fast path: hit already Modified?
-    pub(crate) fn l1d_store_hit_modified(&mut self, line: LineAddr) -> bool {
-        self.l1d.access(line.0) == Some(&mut MsiState::Modified)
     }
 
     /// Serializes this node's caches, tracker, prefetcher, and snoop
@@ -507,16 +478,12 @@ pub struct MemorySystem {
     /// The machine's central completion-event queue: bus grants, snoop
     /// resolutions, DRAM bank completions, data-port releases, and MSHR
     /// fills all schedule a typed [`MemEvent`] here at the cycle they
-    /// finish. The run loop advances time to
-    /// `min(core wakeups, events.next_time())` and drains due events
-    /// via [`MemorySystem::advance`]; the cycle-stepped reference
-    /// (`CGCT_NO_SKIP`) drains once per cycle instead. Events carry no
-    /// state — the atomic-bus engine applies every transition
-    /// synchronously — so delivery only moves the clock and counts.
+    /// finish. Events carry no state — the atomic-bus engine applies
+    /// every transition synchronously — so they never steer the clock:
+    /// each time the run loop stops, [`MemorySystem::advance`] retires
+    /// every event due by then and counts it (the `mem_events` figure,
+    /// reset with the other metrics).
     events: EventQueue<MemEvent>,
-    /// Events delivered since the metrics epoch (the
-    /// `memory_events_per_sec` throughput diagnostic).
-    events_delivered: u64,
     /// Collected metrics (public so runners can read and reset).
     pub metrics: MemMetrics,
     /// Time origin for metrics (reset after cache warmup).
@@ -634,7 +601,6 @@ impl MemorySystem {
             cluster_buses,
             data_ports: vec![Cycle::ZERO; topo.total_cores()],
             events: EventQueue::new(),
-            events_delivered: 0,
             geom,
             topo,
             nodes,
@@ -724,10 +690,10 @@ impl MemorySystem {
     pub fn reset_metrics(&mut self, now: Cycle) {
         self.metrics = MemMetrics::new(self.cfg.traffic_window);
         self.metrics_epoch = now;
-        // Events scheduled during warmup stay queued (the clock still
-        // must not skip past them) but stop counting toward the
-        // delivered total, which restarts with the other metrics.
-        self.events_delivered = 0;
+        // Events scheduled during warmup stay queued but stop counting
+        // toward the delivered total, which restarts with the other
+        // metrics.
+        self.events.reset_delivered();
         for node in &mut self.nodes {
             match &mut node.tracker {
                 Tracker::None => {}
@@ -750,9 +716,8 @@ impl MemorySystem {
     }
 
     /// The cycle of the earliest pending memory completion event, if
-    /// any — the second source of the machine's two-source clock (the
-    /// first being the core wakeups). `Machine::run_until` never skips
-    /// past this time.
+    /// any. Informational: the run loop's clock follows the core
+    /// wakeups alone (DESIGN.md "One clock").
     pub fn next_event_time(&self) -> Option<Cycle> {
         self.events.next_time()
     }
@@ -760,55 +725,19 @@ impl MemorySystem {
     /// Delivers every completion event due at or before `now`. Events
     /// are notifications, not actions — all architectural transitions
     /// were applied synchronously when the request was processed — so
-    /// delivery just retires them from the queue in (time, schedule)
-    /// order and counts them.
+    /// delivery just retires them from the queue and counts them.
     pub fn advance(&mut self, now: Cycle) {
-        while self.events.pop_due(now).is_some() {
-            self.events_delivered += 1;
-        }
+        self.events.advance(now);
     }
 
     /// Completion events delivered since the metrics epoch.
     pub fn events_delivered(&self) -> u64 {
-        self.events_delivered
+        self.events.delivered()
     }
 
     /// Completion events scheduled but not yet delivered.
     pub fn events_pending(&self) -> usize {
         self.events.len()
-    }
-
-    // ---------------------------------------------------------------
-    // Epoch-engine seams (crate::epoch)
-    // ---------------------------------------------------------------
-
-    /// Moves every node out, for the epoch engine to lend to its
-    /// logical processes during an epoch's parallel phase.
-    pub(crate) fn take_nodes(&mut self) -> Vec<Node> {
-        std::mem::take(&mut self.nodes)
-    }
-
-    /// Returns the nodes taken by [`MemorySystem::take_nodes`] (same
-    /// order) before any coherence work runs.
-    pub(crate) fn put_nodes(&mut self, nodes: Vec<Node>) {
-        debug_assert!(self.nodes.is_empty(), "put_nodes over live nodes");
-        self.nodes = nodes;
-    }
-
-    /// Swaps the central completion-event queue with `q`. The epoch
-    /// engine wraps each deferred request in a swap pair so the events
-    /// the request schedules land in the *requester's* sub-queue, whose
-    /// local clock delivers them.
-    pub(crate) fn swap_events(&mut self, q: &mut EventQueue<MemEvent>) {
-        std::mem::swap(&mut self.events, q);
-    }
-
-    /// Folds `n` sub-queue deliveries into the delivered total (the
-    /// epoch engine calls this once per node, in node order, when a run
-    /// completes — so [`MemorySystem::reset_metrics`] between warmup
-    /// and measurement behaves exactly as under the legacy engine).
-    pub(crate) fn add_events_delivered(&mut self, n: u64) {
-        self.events_delivered += n;
     }
 
     /// The configuration in use.
@@ -837,8 +766,7 @@ impl MemorySystem {
     /// # Errors
     ///
     /// Fails when a trace sink is attached (traced runs are not
-    /// checkpointable), while a request is in flight, or while the
-    /// epoch engine has the nodes lent out.
+    /// checkpointable) or while a request is in flight.
     pub fn snap_state(&self) -> Result<cgct_sim::Json, String> {
         use cgct_sim::{Json, Snap};
         if self.tracer.is_some() {
@@ -846,9 +774,6 @@ impl MemorySystem {
         }
         if self.request_depth != 0 {
             return Err("cannot snapshot mid-request".to_string());
-        }
-        if self.nodes.is_empty() {
-            return Err("cannot snapshot while nodes are lent out".to_string());
         }
         Ok(Json::obj([
             (
@@ -869,7 +794,7 @@ impl MemorySystem {
             ("cluster_buses", self.cluster_buses.snap()),
             ("data_ports", self.data_ports.snap()),
             ("events", self.events.snap()),
-            ("events_delivered", Json::u64(self.events_delivered)),
+            ("events_delivered", Json::u64(self.events.delivered())),
             ("metrics", self.metrics.snap()),
             ("metrics_epoch", self.metrics_epoch.snap()),
             ("perturb", self.perturb.snap()),
@@ -971,7 +896,8 @@ impl MemorySystem {
         self.cluster_buses = cluster_buses;
         self.data_ports = data_ports;
         self.events = unsnap_field(v, "events")?;
-        self.events_delivered = unsnap_field(v, "events_delivered")?;
+        self.events
+            .set_delivered(unsnap_field(v, "events_delivered")?);
         self.metrics = unsnap_field(v, "metrics")?;
         self.metrics_epoch = unsnap_field(v, "metrics_epoch")?;
         self.perturb = unsnap_field(v, "perturb")?;

@@ -2,7 +2,7 @@
 //!
 //! Every sweep cell ([`crate::runner::WorkItem`] + [`RunPlan`]) is a
 //! pure function of its inputs: the simulator is deterministic given
-//! the configuration, benchmark, seed, plan, and engine variant. That
+//! the configuration, benchmark, seed, and plan. That
 //! makes its [`RunResult`] cacheable by content address — a 64-bit
 //! FNV-1a key over a canonical rendering of exactly those inputs plus
 //! a fingerprint of the running binary, so a rebuilt simulator never
@@ -48,36 +48,21 @@ pub fn code_fingerprint() -> Option<u64> {
     })
 }
 
-/// The engine variant label that enters the cache key. The epoch
-/// engine is a documented model variant whose artifacts are
-/// byte-identical across its own worker counts but not to the legacy
-/// engine's, so the two must never share cache entries. Worker count
-/// itself is deliberately excluded.
-fn engine_variant() -> &'static str {
-    if cgct_sim::pool::intra_jobs().is_some() {
-        "epoch"
-    } else {
-        "legacy"
-    }
-}
-
 /// The content address of one sweep cell: FNV-1a over a canonical
 /// rendering of everything the result is a function of — the binary's
 /// code fingerprint, the full configuration, the benchmark definition,
-/// the seed, the plan's per-cell knobs, and the engine variant.
-/// Deliberately excluded: worker counts (`CGCT_JOBS`,
-/// `CGCT_INTRA_JOBS`' value), tracing, and sanitizing — none of them
-/// change the result bytes (and traced/sanitized runs bypass the cache
-/// entirely).
+/// the seed, and the plan's per-cell knobs. Deliberately excluded:
+/// the worker count (`CGCT_JOBS`), tracing, and sanitizing — none of
+/// them change the result bytes (and traced/sanitized runs bypass the
+/// cache entirely).
 pub fn cache_key(cfg: &SystemConfig, spec: &BenchmarkSpec, seed: u64, plan: &RunPlan) -> u64 {
     let canonical = format!(
         "v{VERSION}\ncode={:016x}\nconfig={cfg:?}\nbenchmark={spec:?}\nseed={seed}\n\
-         warmup={}\ninstructions={}\nmax_cycles={}\nengine={}\n",
+         warmup={}\ninstructions={}\nmax_cycles={}\n",
         code_fingerprint().unwrap_or(0),
         plan.warmup_per_core,
         plan.instructions_per_core,
         plan.max_cycles,
-        engine_variant(),
     );
     fnv1a(canonical.as_bytes())
 }

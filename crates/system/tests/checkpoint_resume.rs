@@ -28,7 +28,6 @@ fn machine(bench: &str, mode: CoherenceMode) -> Machine {
     let cfg = SystemConfig::paper_default(mode);
     let mut m = Machine::new(cfg, &by_name(bench).unwrap(), SEED);
     m.set_trace(false);
-    m.set_intra(None);
     m
 }
 
@@ -95,4 +94,35 @@ fn snapshot_restore_snapshot_is_idempotent_everywhere() {
             }
         }
     }
+}
+
+/// The checkpoint format is pinned: a mid-run snapshot (four cores with
+/// misses outstanding, completion events pending) must serialize to the
+/// exact bytes earlier builds wrote, so checkpoints stay restorable
+/// across versions. One core's load-MSHR file is spelled out; the whole
+/// snapshot is pinned by its FNV-1a digest.
+#[test]
+fn mid_run_snapshot_bytes_are_pinned() {
+    use cgct_sim::snap::{elements, field};
+    let mode = CoherenceMode::Cgct {
+        region_bytes: 512,
+        sets: 8192,
+    };
+    let mut m = machine("ocean", mode);
+    assert!(m.run(1_000_000, 4000).truncated);
+    let snap = m.snapshot().unwrap();
+    let cores = elements(field(&snap, "cores").unwrap()).unwrap();
+    assert_eq!(
+        field(&cores[1], "load_mshrs").unwrap().dump(),
+        concat!(
+            r#"[{"line":1077942720,"waiters":[4222]},{"line":1077940823,"waiters":[4061]},"#,
+            r#"{"line":1077942550,"waiters":[4011]},{"line":1077940824,"waiters":[4103]},"#,
+            r#"{"line":1077942719,"waiters":[4141]},null,null,null,null,null,null,null,null,"#,
+            r#"null,null,null]"#
+        )
+    );
+    assert_eq!(
+        cgct_sim::hash::fnv1a(snap.dump().as_bytes()),
+        0xdedf_d4a3_bd75_2335
+    );
 }

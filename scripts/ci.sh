@@ -91,12 +91,13 @@ echo "== perfbench: harness tests and one checked pass of every workload =="
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
     --workload all --seed 7919 --seconds 1 --trace 0
+# perfbench times its own copy of the run loop in a traced pass; the
+# pass checks that copy's results against Machine::run_warmed.
+cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload bus4-private --trace 1 --seconds 3
 
 echo "== event-driven vs cycle-stepped equivalence =="
 cargo test -q --release -p cgct-system --offline --test event_skip_equivalence
-
-echo "== intra-run epoch-engine determinism (1 vs 2 vs 4 workers) =="
-cargo test -q --release -p cgct-system --offline --test intra_parallel_determinism
 
 # The A/B smokes below compare repeated runs of the same commands; the
 # content-addressed result cache would let later runs restore the first
@@ -152,27 +153,6 @@ cmp -s "$san_dir/traced.md" "$san_dir/untraced.md" || {
 # round-trips byte-exactly and obeys the Figure 6 latency ordering.
 target/release/trace_check "$trace_dir"
 echo "trace artifacts validated, non-trace artifacts byte-identical"
-
-echo "== intra-parallel smoke: directory --quick, 2 workers vs --intra-serial =="
-CGCT_JOBS=1 target/release/experiments directory --quick --intra-serial \
-    --json "$san_dir/intra1" > "$san_dir/intra1.md"
-CGCT_JOBS=1 CGCT_INTRA_JOBS=2 target/release/experiments directory --quick \
-    --json "$san_dir/intra2" > "$san_dir/intra2.md"
-# The epoch engine is a model variant but must be byte-identical across
-# its own worker counts (DESIGN.md, "Concurrency & determinism model").
-for f in "$san_dir"/intra1/*.json; do
-    name="$(basename "$f")"
-    [ "$name" = "timing.json" ] && continue
-    cmp -s "$f" "$san_dir/intra2/$name" || {
-        echo "intra-parallel artifact differs: $name"
-        exit 1
-    }
-done
-cmp -s "$san_dir/intra1.md" "$san_dir/intra2.md" || {
-    echo "intra-parallel report differs"
-    exit 1
-}
-echo "intra-parallel artifacts byte-identical across worker counts"
 
 echo "== result-cache smoke: fig7 --quick twice, warm run all-hits =="
 cache_dir="$san_dir/cache_entries"
