@@ -2,12 +2,10 @@
 //!
 //! * `src/bin/experiments.rs` — regenerates every table and figure of the
 //!   paper (run `cargo run --release -p cgct-bench --bin experiments -- all`).
-//! * `benches/` — plain-`Instant` benches (see [`timing`]): one
-//!   scaled-down bench per table/figure plus microbenchmarks of the core
-//!   structures.
+//! * [`timing`] — the per-item wall-clock log `experiments` writes.
 //!
-//! This library exposes the shared experiment scales so the binary and
-//! the benches agree on what "quick" and "full" mean.
+//! This library exposes the shared experiment scales, so every binary
+//! agrees on what "quick" and "full" mean.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -20,9 +18,9 @@ use cgct_system::RunPlan;
 
 pub mod timing;
 
-/// The scaled-down plan used by Criterion benches and `--quick` runs:
-/// small but large enough that every figure's qualitative shape (who
-/// wins, roughly by how much) is already visible.
+/// The scaled-down plan used by `--quick` runs: small but large enough
+/// that every figure's qualitative shape (who wins, roughly by how much)
+/// is already visible.
 pub fn quick_plan() -> RunPlan {
     RunPlan {
         warmup_per_core: 60_000,

@@ -1,18 +1,7 @@
-//! A minimal wall-clock benchmark harness (replaces Criterion so the
-//! workspace needs no external crates), plus the [`TimingLog`] the
-//! `experiments` binary writes to `results/timing.json`.
-//!
-//! Each bench target is a plain binary (`harness = false`): build a
-//! [`Harness`], register closures with [`Harness::bench`], and call
-//! [`Harness::finish`]. Timing is adaptive — every benchmark is run in
-//! doubling batches until it has consumed a fixed time budget, then the
-//! per-iteration mean of the best batch is reported. Pass a substring on
-//! the command line to run a subset; `cargo bench`'s `--bench` flag is
-//! accepted and ignored.
+//! The [`TimingLog`] the `experiments` binary writes to
+//! `results/timing.json`.
 
 use cgct_sim::{Json, ToJson};
-pub use std::hint::black_box;
-use std::time::{Duration, Instant};
 
 /// One timed entry in a [`TimingLog`]: a work item or command phase,
 /// plus — for entries that are actual simulations — the simulated
@@ -198,128 +187,9 @@ impl ToJson for TimingLog {
     }
 }
 
-/// Per-benchmark driver handed to the closure; call [`iter`](Bencher::iter).
-pub struct Bencher {
-    budget: Duration,
-    /// Mean nanoseconds per iteration of the fastest measured batch.
-    best_ns_per_iter: f64,
-    iters_measured: u64,
-}
-
-impl Bencher {
-    /// Times `f`, called in doubling batches until the budget is spent.
-    pub fn iter<T>(&mut self, mut f: impl FnMut() -> T) {
-        // Warmup: one call to fault in caches/allocations.
-        black_box(f());
-        let mut batch = 1u64;
-        let start = Instant::now();
-        let mut best = f64::INFINITY;
-        let mut total_iters = 0u64;
-        loop {
-            let t0 = Instant::now();
-            for _ in 0..batch {
-                black_box(f());
-            }
-            let dt = t0.elapsed();
-            total_iters += batch;
-            let per_iter = dt.as_nanos() as f64 / batch as f64;
-            if per_iter < best {
-                best = per_iter;
-            }
-            if start.elapsed() >= self.budget {
-                break;
-            }
-            if dt < self.budget / 10 {
-                batch = batch.saturating_mul(2);
-            }
-        }
-        self.best_ns_per_iter = best;
-        self.iters_measured = total_iters;
-    }
-}
-
-/// Collects and prints benchmark results.
-pub struct Harness {
-    filter: Option<String>,
-    budget: Duration,
-    ran: usize,
-}
-
-impl Harness {
-    /// Builds a harness from the command line: the first non-flag
-    /// argument is a name filter; all flags (e.g. cargo's `--bench`) are
-    /// ignored.
-    pub fn from_args() -> Harness {
-        let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
-        let budget_ms = std::env::var("CGCT_BENCH_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(300u64);
-        Harness {
-            filter,
-            budget: Duration::from_millis(budget_ms),
-            ran: 0,
-        }
-    }
-
-    /// Runs `f` as the benchmark `name` (unless filtered out).
-    pub fn bench(&mut self, name: &str, f: impl FnOnce(&mut Bencher)) {
-        if let Some(filter) = &self.filter {
-            if !name.contains(filter.as_str()) {
-                return;
-            }
-        }
-        let mut b = Bencher {
-            budget: self.budget,
-            best_ns_per_iter: 0.0,
-            iters_measured: 0,
-        };
-        f(&mut b);
-        self.ran += 1;
-        println!(
-            "{name:<44} {:>14}/iter ({} iters)",
-            format_ns(b.best_ns_per_iter),
-            b.iters_measured
-        );
-    }
-
-    /// Prints the summary footer.
-    pub fn finish(self) {
-        println!("{} benchmarks run", self.ran);
-    }
-}
-
-fn format_ns(ns: f64) -> String {
-    if ns >= 1e9 {
-        format!("{:.3} s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.3} ms", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:.3} us", ns / 1e3)
-    } else {
-        format!("{ns:.1} ns")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bencher_measures_and_counts() {
-        let mut b = Bencher {
-            budget: Duration::from_millis(5),
-            best_ns_per_iter: 0.0,
-            iters_measured: 0,
-        };
-        let mut n = 0u64;
-        b.iter(|| {
-            n += 1;
-            n
-        });
-        assert!(b.iters_measured > 0);
-        assert!(b.best_ns_per_iter.is_finite());
-    }
 
     #[test]
     fn timing_log_round_trips_through_json() {
@@ -408,13 +278,5 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"jobs\""));
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn units_format_sensibly() {
-        assert!(format_ns(12.3).ends_with("ns"));
-        assert!(format_ns(12_300.0).ends_with("us"));
-        assert!(format_ns(12_300_000.0).ends_with("ms"));
-        assert!(format_ns(2.3e9).ends_with(" s"));
     }
 }

@@ -7,9 +7,12 @@
 //! The queue is a timing wheel: one bucket per cycle over a fixed window
 //! starting at the last delivery time, plus a min-heap ("spill") for any
 //! event that falls outside the window. Scheduling, delivery and the
-//! earliest-time query are O(1) amortized while events land in the wheel,
-//! and bucket storage is reused once warm, so a steady-state simulation
-//! schedules without allocating.
+//! earliest-time query are O(1) amortized while events land in the wheel.
+//! Wheel events live in one slab of linked entries with a free list: a
+//! bucket is a `(head, tail, len)` chain through it, so retiring a bucket
+//! and popping its head are O(1), and the slab holds no more entries than
+//! were ever pending at once — a steady-state simulation schedules
+//! without allocating.
 
 use crate::time::Cycle;
 use std::cmp::Reverse;
@@ -24,6 +27,8 @@ use std::collections::BinaryHeap;
 const WHEEL: usize = 4096;
 /// Occupancy bitmap words (one bit per bucket).
 const WORDS: usize = WHEEL / 64;
+/// The null slab index: the end of a chain or of the free list.
+const NIL: u32 = u32::MAX;
 
 /// A time-ordered queue of simulation events.
 ///
@@ -48,11 +53,16 @@ const WORDS: usize = WHEEL / 64;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Bucket `t % WHEEL` holds the `(seq, payload)` pairs due at cycle
-    /// `t`, for `t` in `[base, base + WHEEL)`, in ascending `seq` order.
-    /// Empty until the first event arrives, so building a machine that
-    /// never runs allocates nothing here.
-    wheel: Vec<Vec<(u64, E)>>,
+    /// Bucket `t % WHEEL` chains the slab entries due at cycle `t`, for
+    /// `t` in `[base, base + WHEEL)`, in ascending `seq` order. Empty
+    /// until the first event arrives, so building a machine that never
+    /// runs allocates nothing here.
+    wheel: Vec<Bucket>,
+    /// Every wheel entry, pending or free. Free entries form a list from
+    /// `free`; a retired entry keeps its payload until the slot is reused.
+    slab: Vec<Slot<E>>,
+    /// Head of the free list through `slab` (`NIL` when empty).
+    free: u32,
     /// One bit per bucket, set while the bucket is non-empty.
     occupied: [u64; WORDS],
     /// Start of the wheel's window. No wheel event is earlier; it follows
@@ -68,6 +78,28 @@ pub struct EventQueue<E> {
     /// Events retired by [`EventQueue::advance`] since the last
     /// [`EventQueue::reset_delivered`].
     delivered: u64,
+}
+
+/// One wheel bucket: a chain of `len` slab entries from `head` to `tail`.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+const EMPTY: Bucket = Bucket {
+    head: NIL,
+    tail: NIL,
+    len: 0,
+};
+
+/// A slab entry: a wheel event, or a free slot, linked by `next`.
+#[derive(Debug)]
+struct Slot<E> {
+    seq: u64,
+    payload: Option<E>,
+    next: u32,
 }
 
 #[derive(Debug)]
@@ -98,6 +130,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             wheel: Vec::new(),
+            slab: Vec::new(),
+            free: NIL,
             occupied: [0; WORDS],
             base: 0,
             wheel_len: 0,
@@ -119,10 +153,18 @@ impl<E> EventQueue<E> {
         // `u64::MAX` is the empty-wheel sentinel for `head`.
         if at.0 >= self.base && at.0 - self.base < WHEEL as u64 && at.0 != u64::MAX {
             if self.wheel.is_empty() {
-                self.wheel.resize_with(WHEEL, Vec::new);
+                self.wheel = vec![EMPTY; WHEEL];
             }
+            let idx = self.alloc(seq, payload);
             let slot = at.0 as usize % WHEEL;
-            self.wheel[slot].push((seq, payload));
+            let bucket = &mut self.wheel[slot];
+            if bucket.len == 0 {
+                bucket.head = idx;
+            } else {
+                self.slab[bucket.tail as usize].next = idx;
+            }
+            bucket.tail = idx;
+            bucket.len += 1;
             self.occupied[slot / 64] |= 1 << (slot % 64);
             self.wheel_len += 1;
             self.head = self.head.min(at.0);
@@ -132,6 +174,32 @@ impl<E> EventQueue<E> {
                 payload,
             });
         }
+    }
+
+    /// Stores one wheel event in a free slab slot, growing the slab only
+    /// when none is free, and returns its index.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the slab would need more than `u32::MAX - 1` entries.
+    fn alloc(&mut self, seq: u64, payload: E) -> u32 {
+        let entry = Slot {
+            seq,
+            payload: Some(payload),
+            next: NIL,
+        };
+        if self.free != NIL {
+            let idx = self.free;
+            self.free = self.slab[idx as usize].next;
+            self.slab[idx as usize] = entry;
+            return idx;
+        }
+        let idx = match u32::try_from(self.slab.len()) {
+            Ok(idx) if idx != NIL => idx,
+            _ => panic!("event queue: more than {NIL} pending wheel events"),
+        };
+        self.slab.push(entry);
+        idx
     }
 
     /// The earliest occupied wheel time at or after `base`, found from
@@ -156,13 +224,15 @@ impl<E> EventQueue<E> {
         unreachable!("wheel_len > 0 but no bucket is occupied")
     }
 
-    /// Drops the events of the wheel's head bucket and returns how many
-    /// there were.
+    /// Drops the events of the wheel's head bucket, splicing its chain
+    /// onto the free list, and returns how many there were.
     fn retire_head(&mut self) -> u64 {
         let slot = self.head as usize % WHEEL;
-        let n = self.wheel[slot].len();
-        self.wheel[slot].clear();
+        let bucket = std::mem::replace(&mut self.wheel[slot], EMPTY);
+        self.slab[bucket.tail as usize].next = self.free;
+        self.free = bucket.head;
         self.occupied[slot / 64] &= !(1 << (slot % 64));
+        let n = bucket.len as usize;
         self.wheel_len -= n;
         // Nothing pending in the wheel is earlier than the head, so the
         // window may start there; the scan then finds the next head.
@@ -197,11 +267,8 @@ impl<E> EventQueue<E> {
             None => false,
             Some(_) if self.wheel_len == 0 => true,
             Some(e) => {
-                e.key.0
-                    < (
-                        Cycle(self.head),
-                        self.wheel[self.head as usize % WHEEL][0].0,
-                    )
+                let first = self.wheel[self.head as usize % WHEEL].head;
+                e.key.0 < (Cycle(self.head), self.slab[first as usize].seq)
             }
         };
         if from_spill {
@@ -211,14 +278,23 @@ impl<E> EventQueue<E> {
             return None;
         }
         let slot = self.head as usize % WHEEL;
-        let (_, payload) = self.wheel[slot].remove(0);
+        let bucket = &mut self.wheel[slot];
+        let idx = bucket.head;
+        let entry = &mut self.slab[idx as usize];
+        bucket.head = entry.next;
+        bucket.len -= 1;
+        let emptied = bucket.len == 0;
+        entry.next = self.free;
+        self.free = idx;
+        let payload = entry.payload.take();
         let t = Cycle(self.head);
         self.wheel_len -= 1;
-        if self.wheel[slot].is_empty() {
+        if emptied {
+            *bucket = EMPTY;
             self.occupied[slot / 64] &= !(1 << (slot % 64));
             self.head = self.scan_head();
         }
-        Some((t, payload))
+        payload.map(|p| (t, p))
     }
 
     /// The timestamp of the earliest pending event.
@@ -257,9 +333,9 @@ impl<E> EventQueue<E> {
 
     /// Drops all pending events.
     pub fn clear(&mut self) {
-        for bucket in &mut self.wheel {
-            bucket.clear();
-        }
+        self.wheel.fill(EMPTY);
+        self.slab.clear();
+        self.free = NIL;
         self.occupied = [0; WORDS];
         self.wheel_len = 0;
         self.head = u64::MAX;
@@ -284,7 +360,14 @@ impl<E: crate::snap::Snap> crate::snap::Snap for EventQueue<E> {
         let start = self.base as usize % WHEEL;
         for (slot, bucket) in self.wheel.iter().enumerate() {
             let t = self.base + ((slot + WHEEL - start) % WHEEL) as u64;
-            entries.extend(bucket.iter().map(|(seq, e)| (t, *seq, e)));
+            let mut idx = bucket.head;
+            for _ in 0..bucket.len {
+                let entry = &self.slab[idx as usize];
+                if let Some(e) = &entry.payload {
+                    entries.push((t, entry.seq, e));
+                }
+                idx = entry.next;
+            }
         }
         entries.extend(
             self.spill
@@ -435,6 +518,27 @@ mod tests {
         assert_eq!(q.pop(), Some((Cycle(5000), 4)));
         let unsorted = r#"{"next_seq":6,"entries":[[40,0,1],[12,1,2]]}"#;
         assert!(EventQueue::<u64>::unsnap(&Json::parse(unsorted).unwrap()).is_err());
+    }
+
+    /// Retired and popped entries go back to the free list, so a long
+    /// run with at most `N` events pending never grows the slab past `N`.
+    #[test]
+    fn slab_reuses_entries_in_steady_state() {
+        const N: usize = 48;
+        let mut q = EventQueue::new();
+        for now in 0..20_000u64 {
+            while q.len() < N {
+                let at = now + 1 + (q.len() as u64 * 37 + now) % 64;
+                q.schedule(Cycle(at), now);
+            }
+            if now % 5 == 0 {
+                assert!(q.pop().is_some());
+            }
+            q.advance(Cycle(now));
+            assert!(q.slab.len() <= N, "slab grew to {}", q.slab.len());
+        }
+        assert!(q.delivered() > 10_000);
+        assert_eq!(q.spill.len(), 0);
     }
 
     /// Random sequences of every operation, checked against a sorted

@@ -270,7 +270,8 @@ fn trace_category(cat: RequestCategory) -> TraceCategory {
 /// makes the count an O(1) lookup and enumerates exactly the cached
 /// lines. It must be updated at every L2 insertion/removal; the
 /// invariant checker re-derives it from the L2 the slow way and
-/// compares.
+/// compares. Only nodes with a region tracker keep one: nothing reads it
+/// on a `Baseline` or `Directory` node.
 #[derive(Debug)]
 struct RegionLineIndex {
     /// Region key -> (cached-line count, bitmask of line offsets within
@@ -326,8 +327,9 @@ struct Node {
     l1i: SetAssocArray<()>,
     l1d: SetAssocArray<MsiState>,
     l2: SetAssocArray<MoesiState>,
-    /// Region -> cached-lines reverse index over `l2`.
-    lines: RegionLineIndex,
+    /// Region -> cached-lines reverse index over `l2`; `Some` exactly
+    /// when `tracker` is not [`Tracker::None`].
+    lines: Option<RegionLineIndex>,
     tracker: Tracker,
     prefetcher: StreamPrefetcher,
     /// Jetty snoop filter (energy study; related work §2).
@@ -335,9 +337,14 @@ struct Node {
 }
 
 impl Node {
-    /// O(1) count of the region's lines in this node's L2.
-    fn count_region_lines(&self, _geom: Geometry, region: RegionAddr) -> u32 {
-        self.lines.count(region)
+    /// The count of the region's lines in this node's L2: O(1) from the
+    /// index, or the slow walk on a node without one (no tracker-less
+    /// path asks).
+    fn count_region_lines(&self, geom: Geometry, region: RegionAddr) -> u32 {
+        match &self.lines {
+            Some(index) => index.count(region),
+            None => self.count_region_lines_slow(geom, region),
+        }
     }
 
     /// Ground truth for the invariant checker: the count derived by
@@ -352,7 +359,9 @@ impl Node {
     /// and returns its state, if present.
     fn l2_remove(&mut self, geom: Geometry, line: LineAddr) -> Option<MoesiState> {
         let state = self.l2.remove(line.0)?;
-        self.lines.on_remove(geom, line);
+        if let Some(index) = &mut self.lines {
+            index.on_remove(geom, line);
+        }
         Some(state)
     }
 
@@ -365,9 +374,11 @@ impl Node {
         state: MoesiState,
     ) -> Option<(u64, MoesiState)> {
         let displaced = self.l2.insert_lru(line.0, state);
-        self.lines.on_insert(geom, line);
-        if let Some((victim_key, _)) = displaced {
-            self.lines.on_remove(geom, LineAddr(victim_key));
+        if let Some(index) = &mut self.lines {
+            index.on_insert(geom, line);
+            if let Some((victim_key, _)) = displaced {
+                index.on_remove(geom, LineAddr(victim_key));
+            }
         }
         displaced
     }
@@ -375,7 +386,7 @@ impl Node {
     /// Serializes this node's caches, tracker, prefetcher, and snoop
     /// filter. The region-line reverse index is *not* serialized — it is
     /// derived state, rebuilt from the restored L2 by
-    /// [`Node::restore_state`].
+    /// [`Node::restore_state`] on a node that keeps one.
     fn snap_state(&self) -> cgct_sim::Json {
         use cgct_sim::{Json, Snap};
         Json::obj([
@@ -417,10 +428,13 @@ impl Node {
                 ));
             }
         }
-        let mut lines = RegionLineIndex::new(geom);
-        for (key, _) in l2.iter() {
-            lines.on_insert(geom, LineAddr(key));
-        }
+        let lines = self.lines.as_ref().map(|_| {
+            let mut index = RegionLineIndex::new(geom);
+            for (key, _) in l2.iter() {
+                index.on_insert(geom, LineAddr(key));
+            }
+            index
+        });
         self.l1i = l1i;
         self.l1d = l1d;
         self.l2 = l2;
@@ -565,7 +579,7 @@ impl MemorySystem {
                     l1i: SetAssocArray::new(cfg.hierarchy.l1i.sets(), cfg.hierarchy.l1i.ways),
                     l1d: SetAssocArray::new(cfg.hierarchy.l1d.sets(), cfg.hierarchy.l1d.ways),
                     l2: SetAssocArray::new(cfg.hierarchy.l2.sets(), cfg.hierarchy.l2.ways),
-                    lines: RegionLineIndex::new(geom),
+                    lines: (!matches!(tracker, Tracker::None)).then(|| RegionLineIndex::new(geom)),
                     tracker,
                     prefetcher: StreamPrefetcher::paper_default(),
                     jetty: cfg.jetty_filter.then(JettyFilter::paper_default),
@@ -814,9 +828,12 @@ impl MemorySystem {
     ///
     /// # Errors
     ///
-    /// Fails on malformed input or any shape mismatch against the
+    /// Fails on malformed input, on any shape mismatch against the
     /// current configuration (node count, cache geometries, tracker
-    /// variant, controller/directory/port counts).
+    /// variant, controller/directory/port counts), and on restored state
+    /// that breaks an invariant of [`MemorySystem::check_invariants`] —
+    /// say, region line counts that disagree with the caches — which
+    /// would otherwise panic or corrupt results steps later.
     pub fn restore_state(&mut self, v: &cgct_sim::Json) -> Result<(), String> {
         use cgct_sim::snap::{elements, field, unsnap_field};
         use cgct_sim::Snap;
@@ -905,7 +922,8 @@ impl MemorySystem {
         self.sample_countdown =
             u32::try_from(countdown).map_err(|_| "sample countdown out of range".to_string())?;
         self.sanitize_countdown = self.sanitize_interval;
-        Ok(())
+        self.check_invariants()
+            .map_err(|e| format!("inconsistent snapshot: {e}"))
     }
 
     // ---------------------------------------------------------------
@@ -2223,13 +2241,17 @@ impl MemorySystem {
     /// directly to the region's controller.
     fn flush_region(&mut self, core: CoreId, now: Cycle, victim: RegionAddr) {
         // Most displaced regions cache nothing (§3.2: 65.1%); the index
-        // answers that without touching the L2 at all.
-        let Some(&(count, mask)) = self.nodes[core.0].lines.map.get(&victim.0) else {
+        // answers that without touching the L2 at all. Only a region
+        // tracker displaces regions, and every tracked node is indexed.
+        let Some(index) = &self.nodes[core.0].lines else {
+            unreachable!("node {core} displaced a region but keeps no line index")
+        };
+        let exact = index.exact;
+        let Some(&(count, mask)) = index.map.get(&victim.0) else {
             return;
         };
         let mc = self.topo.mc_of_region(victim);
         let dist = self.topo.distance(core, mc);
-        let exact = self.nodes[core.0].lines.exact;
         let mut remaining = count;
         for line in self.geom.lines_in_region(victim) {
             if remaining == 0 {
@@ -2451,30 +2473,40 @@ impl MemorySystem {
                 }
             }
         }
-        // 2b. The region->cached-lines reverse index agrees with the L2
-        //     re-derived the slow way (it is the hot-path source of
-        //     region line counts, so drift here corrupts results).
+        // 2b. Every node with a region tracker, and only those, keeps
+        //     the region->cached-lines reverse index, and it agrees with
+        //     the L2 re-derived the slow way (it is the hot-path source
+        //     of region line counts, so drift here corrupts results).
         for (n, node) in self.nodes.iter().enumerate() {
+            let tracked = !matches!(node.tracker, Tracker::None);
+            let index = match (&node.lines, tracked) {
+                (Some(index), true) => index,
+                (None, false) => continue,
+                (Some(_), false) => {
+                    return Err(format!("node {n}: no region tracker but a line index"))
+                }
+                (None, true) => return Err(format!("node {n}: region tracker but no line index")),
+            };
             let mut derived: StableHashMap<u64, (u32, u128)> = StableHashMap::default();
             for (key, _) in node.l2.iter() {
                 let line = LineAddr(key);
                 let region = self.geom.region_of_line(line);
                 let e = derived.entry(region.0).or_insert((0, 0));
                 e.0 += 1;
-                if node.lines.exact {
+                if index.exact {
                     e.1 |= 1u128 << self.geom.line_index_in_region(line);
                 }
             }
-            if derived != node.lines.map {
+            if derived != index.map {
                 for (&region, &want) in &derived {
-                    let got = node.lines.map.get(&region).copied().unwrap_or((0, 0));
+                    let got = index.map.get(&region).copied().unwrap_or((0, 0));
                     if got != want {
                         return Err(format!(
                             "node {n}: region index for {region:#x} is {got:?}, L2 says {want:?}"
                         ));
                     }
                 }
-                for &region in node.lines.map.keys() {
+                for &region in index.map.keys() {
                     if !derived.contains_key(&region) {
                         return Err(format!(
                             "node {n}: region index has stale entry {region:#x}"
@@ -2482,7 +2514,7 @@ impl MemorySystem {
                     }
                 }
             }
-            for (region, &(count, _)) in &node.lines.map {
+            for (region, &(count, _)) in &index.map {
                 let slow = node.count_region_lines_slow(self.geom, RegionAddr(*region));
                 if slow != count {
                     return Err(format!(
@@ -2655,7 +2687,7 @@ impl MemorySystem {
             let mut truth: StableHashMap<u64, Vec<u32>> = StableHashMap::default();
             for (n, node) in self.nodes.iter().enumerate() {
                 let cluster = self.topo.cluster_of(CoreId(n));
-                for (region, &(count, _)) in &node.lines.map {
+                for (region, &(count, _)) in node.lines.iter().flat_map(|index| &index.map) {
                     truth
                         .entry(*region)
                         .or_insert_with(|| vec![0; dir.clusters()])[cluster] += count;
@@ -3017,13 +3049,7 @@ mod tests {
 
     #[test]
     fn scaled_mode_tracks_exclusivity_only() {
-        let mut cfg = SystemConfig::paper_default(CoherenceMode::Scaled {
-            region_bytes: 512,
-            sets: 8192,
-        });
-        cfg.perturbation = 0;
-        cfg.stream_prefetch = false;
-        let mut m = MemorySystem::new(cfg, 1);
+        let mut m = MemorySystem::new(scaled_cfg(), 1);
         let a = Addr(0x3000);
         m.load(C0, Cycle(0), a, false);
         let before = m.metrics.broadcasts;
@@ -3034,10 +3060,7 @@ mod tests {
 
     #[test]
     fn regionscout_mode_learns_not_shared() {
-        let mut cfg = SystemConfig::paper_default(CoherenceMode::RegionScout { region_bytes: 512 });
-        cfg.perturbation = 0;
-        cfg.stream_prefetch = false;
-        let mut m = MemorySystem::new(cfg, 1);
+        let mut m = MemorySystem::new(scout_cfg(), 1);
         let a = Addr(0x3000);
         m.load(C0, Cycle(0), a, false); // broadcast, learns not-shared
         let before = m.metrics.broadcasts;
@@ -3246,10 +3269,18 @@ mod tests {
     #[test]
     fn directory_invariants_under_random_traffic() {
         let mut m = MemorySystem::new(directory_cfg(), 1);
-        let mut rng = Xoshiro256pp::seed_from_u64(7);
+        random_traffic(&mut m, 7);
+        assert_eq!(m.metrics.broadcasts, 0);
+    }
+
+    /// Drives 4,000 random loads, stores, ifetches and `dcbz`s from every
+    /// core over 1,024 lines, checking the invariants every 500 requests
+    /// and at the end.
+    fn random_traffic(m: &mut MemorySystem, seed: u64) {
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let mut now = Cycle(0);
         for i in 0..4000 {
-            let core = CoreId(rng.gen_range(0..4));
+            let core = CoreId(rng.gen_range(0..m.nodes.len()));
             let addr = Addr((rng.gen_range(0..1024u64)) * 64);
             match rng.gen_range(0..4) {
                 0 => {
@@ -3271,7 +3302,6 @@ mod tests {
             }
         }
         m.check_invariants().unwrap();
-        assert_eq!(m.metrics.broadcasts, 0);
     }
 
     fn dir_cgct_cfg() -> SystemConfig {
@@ -3408,31 +3438,7 @@ mod tests {
     #[test]
     fn dir_cgct_invariants_under_random_traffic() {
         let mut m = MemorySystem::new(dir_cgct_cfg(), 1);
-        let mut rng = Xoshiro256pp::seed_from_u64(11);
-        let mut now = Cycle(0);
-        for i in 0..4000 {
-            let core = CoreId(rng.gen_range(0..4));
-            let addr = Addr((rng.gen_range(0..1024u64)) * 64);
-            match rng.gen_range(0..4) {
-                0 => {
-                    m.load(core, now, addr, false);
-                }
-                1 => {
-                    m.store(core, now, addr);
-                }
-                2 => {
-                    m.ifetch(core, now, addr);
-                }
-                _ => {
-                    m.dcbz(core, now, addr);
-                }
-            }
-            now += 10;
-            if i % 500 == 0 {
-                m.check_invariants().unwrap();
-            }
-        }
-        m.check_invariants().unwrap();
+        random_traffic(&mut m, 11);
         assert_eq!(m.metrics.broadcasts, 0);
         assert!(m.metrics.dir_bypasses > 0, "no bypasses ever fired");
     }
@@ -3479,35 +3485,66 @@ mod tests {
     #[test]
     fn hierarchical_invariants_under_random_traffic() {
         let mut m = MemorySystem::new(hier_cfg(16), 1);
-        let mut rng = Xoshiro256pp::seed_from_u64(13);
-        let mut now = Cycle(0);
-        for i in 0..4000 {
-            let core = CoreId(rng.gen_range(0..16));
-            let addr = Addr((rng.gen_range(0..1024u64)) * 64);
-            match rng.gen_range(0..4) {
-                0 => {
-                    m.load(core, now, addr, false);
-                }
-                1 => {
-                    m.store(core, now, addr);
-                }
-                2 => {
-                    m.ifetch(core, now, addr);
-                }
-                _ => {
-                    m.dcbz(core, now, addr);
-                }
-            }
-            now += 10;
-            if i % 500 == 0 {
-                m.check_invariants().unwrap();
-            }
-        }
-        m.check_invariants().unwrap();
+        random_traffic(&mut m, 13);
         assert!(
             m.metrics.cluster_snoops_filtered > 0,
             "the cluster filter never skipped anything"
         );
+    }
+
+    fn scaled_cfg() -> SystemConfig {
+        let mut cfg = SystemConfig::paper_default(CoherenceMode::Scaled {
+            region_bytes: 512,
+            sets: 8192,
+        });
+        cfg.perturbation = 0;
+        cfg.stream_prefetch = false;
+        cfg
+    }
+
+    fn scout_cfg() -> SystemConfig {
+        let mut cfg = SystemConfig::paper_default(CoherenceMode::RegionScout { region_bytes: 512 });
+        cfg.perturbation = 0;
+        cfg.stream_prefetch = false;
+        cfg
+    }
+
+    /// Only nodes with a region tracker keep the region-line index, after
+    /// a run and after a checkpoint restore, and the invariant check
+    /// rejects an index on the wrong side of that rule. The run is also
+    /// the random-traffic invariant check of the `Scaled` and
+    /// `RegionScout` machines.
+    #[test]
+    fn region_line_index_exists_only_with_a_region_tracker() {
+        let modes = [
+            (baseline_cfg(), false),
+            (directory_cfg(), false),
+            (cgct_cfg(), true),
+            (dir_cgct_cfg(), true),
+            (hier_cfg(16), true),
+            (scaled_cfg(), true),
+            (scout_cfg(), true),
+        ];
+        for (cfg, indexed) in modes {
+            let label = cfg.mode.label();
+            let mut m = MemorySystem::new(cfg.clone(), 1);
+            random_traffic(&mut m, 23);
+            assert!(
+                m.nodes.iter().all(|n| n.lines.is_some() == indexed),
+                "{label}: after a run"
+            );
+            let mut back = MemorySystem::new(cfg, 1);
+            back.restore_state(&m.snap_state().unwrap()).unwrap();
+            assert!(
+                back.nodes.iter().all(|n| n.lines.is_some() == indexed),
+                "{label}: after a restore"
+            );
+            back.nodes[1].lines = (!indexed).then(|| RegionLineIndex::new(back.geom));
+            assert!(
+                back.check_invariants().is_err(),
+                "{label}: misplaced index accepted"
+            );
+        }
     }
 
     #[test]

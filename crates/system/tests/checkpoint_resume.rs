@@ -126,3 +126,37 @@ fn mid_run_snapshot_bytes_are_pinned() {
         0xdedf_d4a3_bd75_2335
     );
 }
+
+/// A snapshot whose region line counts disagree with the caches is
+/// rejected at resume, instead of panicking steps later when a fill
+/// pushes a corrupted count past the region's capacity.
+#[test]
+fn resume_rejects_region_counts_that_disagree_with_the_caches() {
+    /// Sets `"n"` to 8 in every RCA entry (the objects keyed exactly
+    /// `s`, `n`, `mc`, `o`) and returns how many it changed.
+    fn corrupt_counts(v: &mut Json) -> usize {
+        match v {
+            Json::Object(fields) => {
+                let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+                if keys == ["s", "n", "mc", "o"] {
+                    fields[1].1 = Json::u64(8);
+                    return 1;
+                }
+                fields.iter_mut().map(|(_, f)| corrupt_counts(f)).sum()
+            }
+            Json::Array(items) => items.iter_mut().map(corrupt_counts).sum(),
+            _ => 0,
+        }
+    }
+    let mode = MODES[1];
+    let mut run =
+        CheckpointRun::new(machine("ocean", mode), WARMUP, INSTRUCTIONS, MAX_CYCLES).unwrap();
+    assert!(!run.step(1_500), "the run must still be in progress");
+    let mut snap = run.snapshot().unwrap();
+    let cfg = SystemConfig::paper_default(mode);
+    assert!(CheckpointRun::resume(cfg.clone(), &by_name("ocean").unwrap(), &snap).is_ok());
+    assert!(corrupt_counts(&mut snap) > 0, "no RCA entry to corrupt");
+    let err = CheckpointRun::resume(cfg, &by_name("ocean").unwrap(), &snap)
+        .expect_err("a corrupted snapshot must be rejected");
+    assert!(err.contains("inconsistent snapshot"), "{err}");
+}

@@ -89,8 +89,11 @@ echo "== perfbench: harness tests and one checked pass of every workload =="
 # workspace steps above never build it. A run exits 1 when a modelled
 # digest, a checker golden or an invariant check fails.
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
-cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
-    --workload all --seed 7919 --seconds 1 --trace 0
+# Both seeds, so both digests in perfbench/digests.txt are checked.
+for seed in 1 7919; do
+    cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload all --seed "$seed" --seconds 1 --trace 0
+done
 # perfbench times its own copy of the run loop in a traced pass; the
 # pass checks that copy's results against Machine::run_warmed.
 cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
