@@ -5,7 +5,7 @@
 // exactly as cgct-lint exempts src/bin/ paths.
 //!
 //! ```text
-//! experiments <command> [--quick] [--serial] [--no-skip] [--sanitize] [--json <dir>]
+//! experiments <command> [--quick] [--serial] [--sanitize] [--json <dir>]
 //!
 //! commands:
 //!   table1 table2 table3 table4    analytic tables
@@ -37,8 +37,8 @@
 //! (`cgct_system::resultcache`) rooted at `CGCT_CACHE_DIR` (default
 //! `.cgct-cache`): a warm re-run restores every cell from disk and
 //! produces byte-identical artifacts without simulating. `--no-cache`
-//! or `CGCT_CACHE=0` disables it; tracing, sanitizing, and `--no-skip`
-//! runs bypass it automatically (they exist to exercise the simulator).
+//! or `CGCT_CACHE=0` disables it; tracing and sanitizing runs bypass
+//! it automatically (they exist to exercise the simulator).
 
 use cgct::StorageModel;
 use cgct_bench::timing::TimingLog;
@@ -64,7 +64,6 @@ struct Args {
     operand: Option<String>,
     quick: bool,
     serial: bool,
-    no_skip: bool,
     sanitize: bool,
     no_cache: bool,
     mode: Option<String>,
@@ -93,7 +92,6 @@ fn parse_args() -> Args {
     let mut positionals = 0usize;
     let mut quick = false;
     let mut serial = false;
-    let mut no_skip = false;
     let mut sanitize = false;
     let mut no_cache = false;
     let mut mode = None;
@@ -126,8 +124,6 @@ fn parse_args() -> Args {
                        cache gc                       prune stale cache entries\n\n\
                      --quick    scaled-down plan (CI-friendly)\n\
                      --serial   one worker, in-order (same output, no threads)\n\
-                     --no-skip  cycle-stepped reference loop (same output,\n\
-                                no wakeup-driven time skipping; slow)\n\
                      --sanitize runtime coherence sanitizer: re-check the\n\
                                 global coherence invariants during every\n\
                                 run (same output, slower)\n\
@@ -137,8 +133,8 @@ fn parse_args() -> Args {
                                 trace_report.md to <dir> (implies CGCT_TRACE=1;\n\
                                 all other outputs stay byte-identical)\n\
                      --no-cache bypass the content-addressed result cache\n\
-                                (also CGCT_CACHE=0; tracing/sanitizing/no-skip\n\
-                                runs bypass it automatically)\n\n\
+                                (also CGCT_CACHE=0; tracing/sanitizing runs\n\
+                                bypass it automatically)\n\n\
                      run-command flags (see EXPERIMENTS.md):\n\
                      --mode <label>        baseline | cgct-<N>B | scaled-<N>B |\n\
                                            regionscout-<N>B | directory\n\
@@ -155,7 +151,6 @@ fn parse_args() -> Args {
             }
             "--quick" => quick = true,
             "--serial" => serial = true,
-            "--no-skip" => no_skip = true,
             "--sanitize" => sanitize = true,
             "--no-cache" => no_cache = true,
             "--mode" => mode = it.next(),
@@ -190,7 +185,6 @@ fn parse_args() -> Args {
         operand,
         quick,
         serial,
-        no_skip,
         sanitize,
         no_cache,
         mode,
@@ -627,11 +621,6 @@ fn main() {
         // fan-outs like rca_stats) down to one in-order worker.
         std::env::set_var("CGCT_JOBS", "1");
     }
-    if args.no_skip {
-        // Every Machine in the process falls back to the cycle-stepped
-        // reference loop; outputs must be byte-identical, only slower.
-        std::env::set_var("CGCT_NO_SKIP", "1");
-    }
     if args.sanitize {
         // Every MemorySystem in the process re-checks the global
         // coherence invariants as it runs (read-only: outputs must be
@@ -646,8 +635,8 @@ fn main() {
     }
     if !args.no_cache && args.command != "diag" {
         // Default-ON content-addressed result cache. install_from_env
-        // re-checks CGCT_CACHE / trace / sanitize / no-skip (set above
-        // from the flags), so a bypassed run never consults it.
+        // re-checks CGCT_CACHE / trace / sanitize (set above from the
+        // flags), so a bypassed run never consults it.
         if cgct_system::resultcache::install_from_env() {
             let dir = cgct_system::resultcache::global().expect("installed").dir();
             eprintln!("result cache: {}", dir.display());

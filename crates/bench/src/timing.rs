@@ -40,8 +40,7 @@ impl TimingRow {
 
 /// Per-item wall-clock record of an experiments run, written to
 /// `<json-dir>/timing.json` so run-over-run speedup (serial vs
-/// `CGCT_JOBS=N`, cycle-skipping vs `--no-skip`) is measurable from
-/// artifacts alone.
+/// `CGCT_JOBS=N`) is measurable from artifacts alone.
 ///
 /// Unlike the figure outputs, timing is *not* expected to be
 /// byte-identical across runs — it is explicitly excluded from the

@@ -297,7 +297,6 @@ impl SystemConfig {
 /// | variable                 | meaning                                            | default        | read at |
 /// |--------------------------|----------------------------------------------------|----------------|---------|
 /// | `CGCT_TRACE`             | request-lifetime tracing (`1` on)                  | off            | here    |
-/// | `CGCT_NO_SKIP`           | disable idle-cycle skipping (`1` disables)         | skipping on    | here    |
 /// | `CGCT_SANITIZE`          | per-request invariant sanitizer (`1` on)           | off            | here    |
 /// | `CGCT_SANITIZE_INTERVAL` | requests between full invariant walks (min 1)      | 65536          | here    |
 /// | `CGCT_CACHE`             | result cache (`0`/empty disables)                  | on             | here    |
@@ -317,8 +316,6 @@ impl SystemConfig {
 pub struct EnvKnobs {
     /// `CGCT_TRACE`: request-lifetime tracing is on.
     pub trace: bool,
-    /// `CGCT_NO_SKIP`: idle-cycle skipping is disabled.
-    pub no_skip: bool,
     /// `CGCT_SANITIZE`: the memory-system invariant sanitizer is on.
     pub sanitize: bool,
     /// `CGCT_SANITIZE_INTERVAL`: requests between full invariant walks.
@@ -343,7 +340,6 @@ fn env_flag(name: &str) -> bool {
 pub fn env_knobs() -> EnvKnobs {
     EnvKnobs {
         trace: env_flag("CGCT_TRACE"),
-        no_skip: env_flag("CGCT_NO_SKIP"),
         sanitize: env_flag("CGCT_SANITIZE"),
         sanitize_interval: std::env::var("CGCT_SANITIZE_INTERVAL")
             .ok()

@@ -99,9 +99,9 @@ pub struct Machine {
     /// so measured-phase counts can be reported exactly even when the
     /// run truncates short of its quota.
     epoch_committed: Vec<u64>,
-    /// Event-driven time advancement (default). Disabled by the
-    /// `CGCT_NO_SKIP` env var (or [`Machine::set_cycle_skip`]), which
-    /// restores the plain cycle-stepped loop for A/B validation.
+    /// Event-driven time advancement (default). A test may turn it off
+    /// with [`Machine::set_cycle_skip`] to run the plain cycle-stepped
+    /// loop as a reference.
     cycle_skip: bool,
     /// Request-lifetime trace sink shared with the memory system and the
     /// cores (`CGCT_TRACE=1` or [`Machine::set_trace`]). Tracing is pure
@@ -116,12 +116,6 @@ pub struct Machine {
 /// (`CGCT_TRACE`, via the [`crate::config::env_knobs`] seam).
 fn trace_default() -> bool {
     crate::config::env_knobs().trace
-}
-
-/// Whether cycle skipping is enabled for new machines (true unless
-/// `CGCT_NO_SKIP` is set, via the [`crate::config::env_knobs`] seam).
-fn cycle_skip_default() -> bool {
-    !crate::config::env_knobs().no_skip
 }
 
 impl std::fmt::Debug for Machine {
@@ -160,7 +154,7 @@ impl Machine {
             benchmark: spec.name.to_string(),
             wakeups: vec![Cycle::ZERO; n],
             epoch_committed: vec![0; n],
-            cycle_skip: cycle_skip_default(),
+            cycle_skip: true,
             trace: None,
             seed,
         };
@@ -198,7 +192,7 @@ impl Machine {
             benchmark: label.to_string(),
             wakeups: vec![Cycle::ZERO; n],
             epoch_committed: vec![0; n],
-            cycle_skip: cycle_skip_default(),
+            cycle_skip: true,
             trace: None,
             seed,
         };
@@ -239,11 +233,11 @@ impl Machine {
         self.trace.is_some()
     }
 
-    /// Overrides the `CGCT_NO_SKIP` default for this machine: `false`
-    /// forces the plain cycle-stepped loop, `true` the event-driven one.
-    /// The two are observationally equivalent (see
-    /// `tests/cycle_skip_equivalence.rs`); the cycle-stepped loop exists
-    /// as the trusted reference.
+    /// Chooses this machine's time advancement: `true` (the default) is
+    /// the event-driven loop, `false` the plain cycle-stepped one. The
+    /// two are observationally equivalent (see
+    /// `tests/skip_equivalence.rs`); the cycle-stepped loop exists as
+    /// the trusted reference for tests.
     pub fn set_cycle_skip(&mut self, enabled: bool) {
         self.cycle_skip = enabled;
     }

@@ -1200,9 +1200,6 @@ impl MemorySystem {
             CoherenceMode::DirectoryCgct { .. } => {
                 return self.directory_cgct_request(core, now, req, line, tid)
             }
-            CoherenceMode::Hierarchical { .. } => {
-                return self.hierarchical_request(core, now, req, line, prefetch, tid)
-            }
             _ => {}
         }
 
@@ -1236,21 +1233,61 @@ impl MemorySystem {
                         .tracker
                         .region_state(region)
                         .is_some_and(|s| s.is_externally_dirty());
-                let grant = self
-                    .bus
-                    .grant_event(now, &mut self.events, trace_arg!(self, tid));
+                // The hierarchical machine is the flat bus split into
+                // cluster buses: the requester's own cluster is always
+                // snooped, and `visit` masks the remote clusters that the
+                // inter-cluster region directory records as caching lines
+                // of the region. `None` is the flat bus: every node.
+                let clusters = self.cluster_dir.as_ref().map(|dir| {
+                    let (mine, others) = (self.topo.cluster_of(core), self.topo.clusters() - 1);
+                    let visit = (0..=others)
+                        .filter(|&c| c != mine && dir.count(region, c) > 0)
+                        .fold(0u64, |mask, c| mask | 1 << c);
+                    self.metrics.cluster_snoops_filtered +=
+                        (others - visit.count_ones() as usize) as u64;
+                    if visit == 0 {
+                        self.metrics.cluster_local_requests += 1;
+                    } else {
+                        self.metrics.cross_cluster_requests += 1;
+                    }
+                    (mine, visit)
+                });
+                let skipped = |topo: &Topology, other: usize| {
+                    clusters.is_some_and(|(mine, visit)| {
+                        let c = topo.cluster_of(CoreId(other));
+                        c != mine && visit & (1 << c) == 0
+                    })
+                };
+                let bus = match clusters {
+                    Some((mine, _)) => &mut self.cluster_buses[mine],
+                    None => &mut self.bus,
+                };
+                let grant = bus.grant_event(now, &mut self.events, trace_arg!(self, tid));
                 self.metrics.broadcasts += 1;
                 self.metrics
                     .traffic
                     .record(grant.saturating_sub(self.metrics_epoch.0));
-                let snoop_done = grant + self.cfg.latency.snoop_cpu();
+                // The local snoop resolves first; each visited remote
+                // cluster's snoop is launched off the local grant and pays
+                // a cross-machine hop each way (plus that cluster's own
+                // bus arbitration).
+                let mut snoop_done = grant + self.cfg.latency.snoop_cpu();
+                let hop = self.cfg.latency.direct_request(DistanceClass::Remote);
+                let mut remote = clusters.map_or(0, |(_, visit)| visit);
+                while remote != 0 {
+                    let c = remote.trailing_zeros() as usize;
+                    remote &= remote - 1;
+                    let remote_grant =
+                        self.cluster_buses[c].grant_event(grant + hop, &mut self.events, None);
+                    snoop_done = snoop_done.max(remote_grant + self.cfg.latency.snoop_cpu() + hop);
+                }
                 self.events.schedule(snoop_done, MemEvent::SnoopComplete);
 
-                // Snoop every other node's cache line state.
+                // Snoop every other visible node's cache line state.
                 let mut line_resp = LineSnoopResponse::default();
                 let mut owner: Option<CoreId> = None;
                 for other in 0..self.nodes.len() {
-                    if other == core.0 {
+                    if other == core.0 || skipped(&self.topo, other) {
                         continue;
                     }
                     // Jetty (if fitted) may prove the line absent and skip
@@ -1279,6 +1316,20 @@ impl MemorySystem {
                     }
                     if out.next != state {
                         self.apply_snooped_transition(other, line, state, out.next, region);
+                    }
+                }
+                // Sanitizer: a skipped cluster must cache nothing of the
+                // region — the filter may only skip true negatives.
+                if clusters.is_some() && (cfg!(debug_assertions) || self.sanitize) {
+                    for other in (0..self.nodes.len()).filter(|&o| skipped(&self.topo, o)) {
+                        let cached = self.nodes[other].count_region_lines(self.geom, region);
+                        if cached > 0 {
+                            panic!(
+                                "coherence sanitizer: cluster filter skipped cluster {} but \
+                                 node {other} caches {cached} line(s) of {region}",
+                                self.topo.cluster_of(CoreId(other))
+                            );
+                        }
                     }
                 }
 
@@ -1320,6 +1371,15 @@ impl MemorySystem {
                 // parallel with the snoop (Figure 6); if an owner cache
                 // supplies the data that access was wasted — unless the
                 // region-state predictor suppressed it (§6 extension).
+                // Data cannot be handed over before every visited
+                // cluster's snoop response is in; on the flat bus that
+                // bound never binds. The flat bus tags the data source,
+                // the hierarchy how far the snoop reached.
+                let path = |flat: PathTag| match clusters {
+                    None => flat,
+                    Some((_, 0)) => PathTag::ClusterLocal,
+                    Some(_) => PathTag::ClusterRemote,
+                };
                 let (done, path) = if req.needs_data() {
                     if let Some(owner) = owner {
                         self.metrics.cache_to_cache += 1;
@@ -1332,12 +1392,12 @@ impl MemorySystem {
                             self.mcs[mc.0].start_access_event(grant, &mut self.events, None);
                         }
                         let d = self.topo.core_distance(core, owner);
-                        let supplied = grant + self.cfg.latency.cache_to_cache(d);
+                        let supplied = (grant + self.cfg.latency.cache_to_cache(d)).max(snoop_done);
                         let _ = self.reserve_data_port(owner, supplied);
                         self.trace_ev(tid, supplied, EventKind::Fill);
                         (
                             self.reserve_data_port(core, supplied),
-                            PathTag::BroadcastCache,
+                            path(PathTag::BroadcastCache),
                         )
                     } else {
                         self.metrics.memory_fills += 1;
@@ -1363,18 +1423,19 @@ impl MemorySystem {
                         } else {
                             self.cfg.latency.snoop_memory_access(dist)
                         };
-                        self.trace_ev(tid, grant + base + queue_extra, EventKind::Fill);
+                        let arrived = (grant + base + queue_extra).max(snoop_done);
+                        self.trace_ev(tid, arrived, EventKind::Fill);
                         (
-                            self.reserve_data_port(core, grant + base + queue_extra),
-                            PathTag::BroadcastMemory,
+                            self.reserve_data_port(core, arrived),
+                            path(PathTag::BroadcastMemory),
                         )
                     }
                 } else if req == ReqKind::Writeback {
                     let _ = self.reserve_data_port(core, now);
                     self.mcs[mc.0].start_access_event(snoop_done, &mut self.events, None);
-                    (now, PathTag::BroadcastControl)
+                    (now, path(PathTag::BroadcastControl))
                 } else {
-                    (snoop_done, PathTag::BroadcastControl)
+                    (snoop_done, path(PathTag::BroadcastControl))
                 };
                 if let Some(state) = fill_state {
                     if !prefetch || !self.nodes[core.0].l2.contains(line.0) {
@@ -1451,9 +1512,9 @@ impl MemorySystem {
         let invalidate = match &action {
             DirAction::FromMemory { invalidate }
             | DirAction::ForwardToOwner { invalidate, .. }
-            | DirAction::InvalidateOnly { invalidate } => invalidate.clone(),
+            | DirAction::InvalidateOnly { invalidate } => invalidate,
         };
-        for target in invalidate {
+        for &target in invalidate {
             let t = CoreId(target as usize);
             if t == core || t.0 >= self.nodes.len() {
                 continue;
@@ -1661,14 +1722,9 @@ impl MemorySystem {
             return now;
         }
         let fill_state = match req {
-            ReqKind::Read | ReqKind::ReadExclusive => MoesiState::Exclusive,
+            ReqKind::Read => MoesiState::Exclusive,
             ReqKind::ReadShared => MoesiState::Shared,
-            _ => MoesiState::Modified, // upgrade/dcbz handled above or below
-        };
-        let fill_state = if req == ReqKind::ReadExclusive || req == ReqKind::Dcbz {
-            MoesiState::Modified
-        } else {
-            fill_state
+            _ => MoesiState::Modified,
         };
         let fill = FillKind::from_moesi(fill_state);
         self.rca_local_complete(core, region, fill, None, mc, now);
@@ -1878,241 +1934,6 @@ impl MemorySystem {
                     .lookup(region)
                     .is_some_and(|mask| mask & !(1u64 << core.0) == 0);
                 self.directory_request(core, now, req, line, tid, skip, RegionUpkeep::FullExternal)
-            }
-        }
-    }
-
-    /// Hierarchical (clustered) request path: nodes snoop their own
-    /// cluster's bus, and an inter-cluster region-grain directory names
-    /// which *other* clusters cache lines of the region — only those
-    /// clusters' buses are visited. Per-node RCAs still grant the
-    /// complete-locally / direct-to-memory bypasses, which touch no bus
-    /// at all. The cluster filter is conservative: a cluster is skipped
-    /// only when it caches no line of the region (sanitizer-checked).
-    fn hierarchical_request(
-        &mut self,
-        core: CoreId,
-        now: Cycle,
-        req: ReqKind,
-        line: LineAddr,
-        prefetch: bool,
-        tid: Option<(u8, u64)>,
-    ) -> Cycle {
-        let region = self.geom.region_of_line(line);
-        let mc = self.topo.mc_of_region(region);
-        let dist = self.topo.distance(core, mc);
-        let category = RequestCategory::of(req);
-        let mut permission = self.nodes[core.0].tracker.permission(region, req);
-        if req == ReqKind::Writeback && !self.cfg.direct_writebacks {
-            permission = RegionPermission::Broadcast;
-        }
-        match permission {
-            RegionPermission::CompleteLocally => {
-                self.complete_locally_request(core, now, req, line, region, mc, tid)
-            }
-            RegionPermission::DirectToMemory => {
-                self.direct_to_memory_request(core, now, req, line, region, mc, dist, tid)
-            }
-            RegionPermission::Broadcast => {
-                if self.cfg.owner_prediction && req == ReqKind::Read && !prefetch {
-                    if let Some(done) = self.try_owner_predicted_read(core, now, line, region) {
-                        self.trace_retire(tid, done, PathTag::OwnerPredicted);
-                        return done;
-                    }
-                }
-                let predicted_cached = self.cfg.dram_speculation_filter
-                    && self.nodes[core.0]
-                        .tracker
-                        .region_state(region)
-                        .is_some_and(|s| s.is_externally_dirty());
-                let my_cluster = self.topo.cluster_of(core);
-                let clusters = self.topo.clusters();
-                // Which other clusters must see the line-grain snoop:
-                // only those the region directory records as caching
-                // lines of the region.
-                // cgct-lint: allow(D006) cluster_dir is Some whenever the mode is Hierarchical, by construction
-                let dir = self.cluster_dir.as_ref().expect("hierarchical mode");
-                let visit: Vec<usize> = (0..clusters)
-                    .filter(|&c| c != my_cluster && dir.count(region, c) > 0)
-                    .collect();
-                self.metrics.cluster_snoops_filtered += (clusters - 1 - visit.len()) as u64;
-                if visit.is_empty() {
-                    self.metrics.cluster_local_requests += 1;
-                } else {
-                    self.metrics.cross_cluster_requests += 1;
-                }
-                self.metrics.broadcasts += 1;
-                let grant = self.cluster_buses[my_cluster].grant_event(
-                    now,
-                    &mut self.events,
-                    trace_arg!(self, tid),
-                );
-                self.metrics
-                    .traffic
-                    .record(grant.saturating_sub(self.metrics_epoch.0));
-                // The local cluster snoop resolves first; each visited
-                // remote cluster's snoop is launched off the local grant
-                // and pays a cross-machine hop each way (plus that
-                // cluster's own bus arbitration).
-                let mut snoop_done = grant + self.cfg.latency.cluster_snoop(false);
-                for &c in &visit {
-                    let remote_grant = self.cluster_buses[c].grant_event(
-                        grant + self.cfg.latency.direct_request(DistanceClass::Remote),
-                        &mut self.events,
-                        None,
-                    );
-                    snoop_done = snoop_done.max(
-                        remote_grant
-                            + self.cfg.latency.snoop_cpu()
-                            + self.cfg.latency.direct_request(DistanceClass::Remote),
-                    );
-                }
-                self.events.schedule(snoop_done, MemEvent::SnoopComplete);
-
-                // Line-grain snoops: only nodes in the requester's own
-                // and the visited clusters see the request at all —
-                // the hierarchical machine's snoop-energy win.
-                let mut line_resp = LineSnoopResponse::default();
-                let mut owner: Option<CoreId> = None;
-                for other in 0..self.nodes.len() {
-                    if other == core.0 {
-                        continue;
-                    }
-                    let c = self.topo.cluster_of(CoreId(other));
-                    if c != my_cluster && !visit.contains(&c) {
-                        continue;
-                    }
-                    if let Some(jetty) = &mut self.nodes[other].jetty {
-                        if !jetty.maybe_present(line) {
-                            self.metrics.jetty_filtered_lookups += 1;
-                            debug_assert!(
-                                !self.nodes[other].l2.contains(line.0),
-                                "jetty false negative at node {other}"
-                            );
-                            continue;
-                        }
-                    }
-                    self.metrics.snooped_tag_lookups += 1;
-                    let state = self.nodes[other]
-                        .l2
-                        .get(line.0)
-                        .copied()
-                        .unwrap_or(MoesiState::Invalid);
-                    let out = snoop_line(state, req);
-                    line_resp.merge(out.response);
-                    if out.action == SnoopAction::SupplyData {
-                        owner = Some(CoreId(other));
-                    }
-                    if out.next != state {
-                        self.apply_snooped_transition(other, line, state, out.next, region);
-                    }
-                }
-                // Sanitizer: a skipped cluster must cache nothing of the
-                // region — the filter may only skip true negatives.
-                if cfg!(debug_assertions) || self.sanitize {
-                    for other in 0..self.nodes.len() {
-                        let c = self.topo.cluster_of(CoreId(other));
-                        if other == core.0 || c == my_cluster || visit.contains(&c) {
-                            continue;
-                        }
-                        let cached = self.nodes[other].count_region_lines(self.geom, region);
-                        if cached > 0 {
-                            panic!(
-                                "coherence sanitizer: cluster filter skipped cluster {c} but \
-                                 node {other} caches {cached} line(s) of {region}"
-                            );
-                        }
-                    }
-                }
-
-                if classify(req, line_resp).unnecessary {
-                    self.metrics.unnecessary.record(category);
-                }
-                let fill_state = requester_next_state(req, line_resp);
-                let fill_exclusive = fill_state.is_some_and(|s| s.can_silently_modify());
-                self.trace_ev(
-                    tid,
-                    snoop_done,
-                    EventKind::SnoopDone {
-                        owner: owner.is_some(),
-                    },
-                );
-                // Region-grain responses travel through the inter-
-                // cluster region directory and reach every node.
-                let region_resp =
-                    self.region_external_all(core, region, req, fill_exclusive, snoop_done, tid);
-                if req != ReqKind::Writeback {
-                    let fill = fill_state.map_or(FillKind::Shared, FillKind::from_moesi);
-                    self.rca_local_complete(core, region, fill, Some(region_resp), mc, now);
-                }
-                if let Some(owner) = owner {
-                    self.nodes[core.0]
-                        .tracker
-                        .record_supplier(region, owner.0 as u8);
-                }
-                let cluster_path = if visit.is_empty() {
-                    PathTag::ClusterLocal
-                } else {
-                    PathTag::ClusterRemote
-                };
-                let (done, path) = if req.needs_data() {
-                    if let Some(owner) = owner {
-                        self.metrics.cache_to_cache += 1;
-                        if predicted_cached {
-                            self.metrics.dram_speculation_saved += 1;
-                        } else {
-                            self.metrics.dram_speculation_wasted += 1;
-                            // Wasted speculative access: off the critical
-                            // path, so it leaves no trace milestone.
-                            self.mcs[mc.0].start_access_event(grant, &mut self.events, None);
-                        }
-                        let d = self.topo.core_distance(core, owner);
-                        let supplied = (grant + self.cfg.latency.cache_to_cache(d)).max(snoop_done);
-                        let _ = self.reserve_data_port(owner, supplied);
-                        self.trace_ev(tid, supplied, EventKind::Fill);
-                        (self.reserve_data_port(core, supplied), cluster_path)
-                    } else {
-                        self.metrics.memory_fills += 1;
-                        let dram_at = if predicted_cached { snoop_done } else { grant };
-                        let dram_start = self.mcs[mc.0].start_access_event(
-                            dram_at,
-                            &mut self.events,
-                            trace_arg!(self, tid),
-                        );
-                        self.trace_ev(
-                            tid,
-                            dram_start + self.cfg.latency.dram.as_cpu_cycles(),
-                            EventKind::DramDone,
-                        );
-                        let queue_extra = dram_start - dram_at;
-                        let base = if predicted_cached {
-                            // Serialized: full snoop, then DRAM+transfer.
-                            self.cfg.latency.snoop_cpu()
-                                + self.cfg.latency.dram.as_cpu_cycles()
-                                + self.cfg.latency.transfer_cpu(dist)
-                        } else {
-                            self.cfg.latency.snoop_memory_access(dist)
-                        };
-                        // Data cannot be handed over before every
-                        // visited cluster's snoop response is in.
-                        let arrived = (grant + base + queue_extra).max(snoop_done);
-                        self.trace_ev(tid, arrived, EventKind::Fill);
-                        (self.reserve_data_port(core, arrived), cluster_path)
-                    }
-                } else if req == ReqKind::Writeback {
-                    let _ = self.reserve_data_port(core, now);
-                    self.mcs[mc.0].start_access_event(snoop_done, &mut self.events, None);
-                    (now, cluster_path)
-                } else {
-                    (snoop_done, cluster_path)
-                };
-                if let Some(state) = fill_state {
-                    if !prefetch || !self.nodes[core.0].l2.contains(line.0) {
-                        self.fill_l2(core, line, state, now);
-                    }
-                }
-                self.trace_retire(tid, done, path);
-                done
             }
         }
     }

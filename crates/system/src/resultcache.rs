@@ -14,9 +14,9 @@
 //! The cache is OFF at the library level: nothing here runs unless a
 //! binary calls [`install_from_env`] (the `experiments` harness does,
 //! by default). `CGCT_CACHE=0` disables it; `CGCT_CACHE_DIR` moves it
-//! (default `.cgct-cache`). It also stays off under `CGCT_TRACE`,
-//! `CGCT_SANITIZE`, and `CGCT_NO_SKIP`: those runs exist to *exercise*
-//! the simulator, which a cache hit would silently skip.
+//! (default `.cgct-cache`). It also stays off under `CGCT_TRACE` and
+//! `CGCT_SANITIZE`: those runs exist to *exercise* the simulator,
+//! which a cache hit would silently skip.
 //!
 //! Entries are self-validating: an envelope records the payload's byte
 //! length and FNV-1a digest, so truncated or corrupted files are
@@ -267,18 +267,14 @@ static GLOBAL: OnceLock<Option<ResultCache>> = OnceLock::new();
 /// the [`crate::config::env_knobs`] seam): rooted at `CGCT_CACHE_DIR`
 /// (default `.cgct-cache`). Returns whether a cache is active
 /// afterwards — `false` when `CGCT_CACHE=0`, when `CGCT_TRACE` /
-/// `CGCT_SANITIZE` / `CGCT_NO_SKIP` ask for a run that must actually
-/// execute, or when the binary cannot fingerprint itself. Idempotent;
-/// the first call decides.
+/// `CGCT_SANITIZE` ask for a run that must actually execute, or when
+/// the binary cannot fingerprint itself. Idempotent; the first call
+/// decides.
 pub fn install_from_env() -> bool {
     GLOBAL
         .get_or_init(|| {
             let knobs = crate::config::env_knobs();
-            if knobs.cache_disabled
-                || knobs.trace
-                || knobs.sanitize
-                || knobs.no_skip
-                || code_fingerprint().is_none()
+            if knobs.cache_disabled || knobs.trace || knobs.sanitize || code_fingerprint().is_none()
             {
                 return None;
             }

@@ -845,7 +845,8 @@ impl Working {
     /// cluster plus clusters caching at least one line of the region.
     /// The cluster counts are derived exactly from the line states —
     /// the same truth the live system maintains incrementally and its
-    /// sanitizer checks.
+    /// sanitizer checks. This mirrors the live broadcast arm's cluster
+    /// mask (`visit`), which is likewise only a visibility filter.
     fn snoop_visibility(&self, cfg: &ModelConfig, requester: usize) -> u64 {
         let nodes = self.lines.len();
         if cfg.protocol != Protocol::Hierarchical || cfg.clusters <= 1 {
@@ -894,9 +895,9 @@ impl Working {
     }
 
     /// Issues a coherence-point request, mirroring the permission arms
-    /// of `MemorySystem::coherent_request` /
-    /// `MemorySystem::directory_cgct_request` /
-    /// `MemorySystem::hierarchical_request` (atomic-interconnect
+    /// of `MemorySystem::coherent_request` (one broadcast arm for the
+    /// flat bus and the hierarchy) and
+    /// `MemorySystem::directory_cgct_request` (atomic-interconnect
     /// model).
     fn request(&mut self, cfg: &ModelConfig, requester: usize, line: usize, req: ReqKind) {
         if cfg.protocol == Protocol::DirectoryCgct && req == ReqKind::Writeback {

@@ -1,18 +1,17 @@
 #!/usr/bin/env bash
-# A/B benchmark of the event-driven execution loop against the
-# cycle-stepped reference (see DESIGN.md, "Time advancement").
+# End-to-end benchmark of the simulator (see DESIGN.md, "Time
+# advancement").
 #
 # Runs `experiments all --quick` on one worker (CGCT_JOBS=1) with
-# pinned seeds — once with cycle skipping (the default), once with
-# --no-skip, once with request-lifetime tracing on (CGCT_TRACE=1) —
-# byte-compares every figure artifact between the runs, and writes
-# BENCH_cgct.json with wall-clock seconds, simulated cycles/sec, the
-# speedup ratio, and the tracing overhead ratio. The ratios are only
-# reported if the artifacts are byte-identical: they must be the cost
-# of simulating the *same* machine trajectory, not a different one.
-# Tracing overhead above 25% fails the run.
+# pinned seeds — once plain, once with request-lifetime tracing on
+# (CGCT_TRACE=1) — byte-compares every figure artifact between the
+# runs, and writes BENCH_cgct.json with wall-clock seconds, simulated
+# cycles/sec, memory events/sec, and the tracing overhead ratio. The
+# ratio is only reported if the artifacts are byte-identical: it must
+# be the cost of simulating the *same* machine trajectory, not a
+# different one. Tracing overhead above 25% fails the run.
 #
-# A fourth leg benchmarks the content-addressed result cache: the same
+# A third leg benchmarks the content-addressed result cache: the same
 # command cold (fresh cache dir, every cell simulated and stored) and
 # warm (every cell restored from disk). The warm/cold ratio is refused
 # unless the two runs' artifacts are byte-identical, and a warm re-run
@@ -36,15 +35,14 @@ cargo build --release -p cgct-bench --offline
 
 bin=target/release/experiments
 
-run_mode() { # $1 = skip|noskip, extra flag in $2 (may be empty)
-    local tag="$1" flag="${2:-}"
+run_mode() { # $1 = leg tag
+    local tag="$1"
     mkdir -p "$workdir/$tag"
     local t0 t1
     t0=$(date +%s%N)
     # Cache off unless the caller (the cache leg) turns it on: every
     # other leg must measure simulation, not disk reads.
-    # shellcheck disable=SC2086
-    CGCT_JOBS=1 CGCT_CACHE="${CGCT_CACHE:-0}" "$bin" "$cmd" --quick $flag \
+    CGCT_JOBS=1 CGCT_CACHE="${CGCT_CACHE:-0}" "$bin" "$cmd" --quick \
         --json "$workdir/$tag" \
         > "$workdir/$tag.md" 2> "$workdir/$tag.log"
     t1=$(date +%s%N)
@@ -52,23 +50,19 @@ run_mode() { # $1 = skip|noskip, extra flag in $2 (may be empty)
 }
 
 echo "== $cmd --quick, event-driven loop (CGCT_JOBS=1) =="
-skip_ms=$(run_mode skip "")
+skip_ms=$(run_mode skip)
 echo "   ${skip_ms} ms"
 
-echo "== $cmd --quick, cycle-stepped reference (--no-skip) =="
-noskip_ms=$(run_mode noskip "--no-skip")
-echo "   ${noskip_ms} ms"
-
 echo "== $cmd --quick, request-lifetime tracing on (CGCT_TRACE=1) =="
-traced_ms=$(CGCT_TRACE=1 run_mode traced "")
+traced_ms=$(CGCT_TRACE=1 run_mode traced)
 echo "   ${traced_ms} ms"
 
 echo "== $cmd --quick, result cache cold (fresh dir) =="
-cachecold_ms=$(CGCT_CACHE=1 CGCT_CACHE_DIR="$workdir/cache_entries" run_mode cachecold "")
+cachecold_ms=$(CGCT_CACHE=1 CGCT_CACHE_DIR="$workdir/cache_entries" run_mode cachecold)
 echo "   ${cachecold_ms} ms"
 
 echo "== $cmd --quick, result cache warm (all cells restored) =="
-cachewarm_ms=$(CGCT_CACHE=1 CGCT_CACHE_DIR="$workdir/cache_entries" run_mode cachewarm "")
+cachewarm_ms=$(CGCT_CACHE=1 CGCT_CACHE_DIR="$workdir/cache_entries" run_mode cachewarm)
 echo "   ${cachewarm_ms} ms"
 
 echo "== comparing artifacts =="
@@ -76,21 +70,17 @@ identical=true
 for f in "$workdir"/skip/*.json; do
     name="$(basename "$f")"
     [ "$name" = timing.json ] && continue # wall times differ by design
-    for other in noskip traced; do
-        if ! cmp -s "$f" "$workdir/$other/$name"; then
-            echo "MISMATCH: $name differs between skip and $other"
-            identical=false
-        fi
-    done
-done
-for other in noskip traced; do
-    if ! cmp -s "$workdir/skip.md" "$workdir/$other.md"; then
-        echo "MISMATCH: report markdown differs between skip and $other"
+    if ! cmp -s "$f" "$workdir/traced/$name"; then
+        echo "MISMATCH: $name differs between skip and traced"
         identical=false
     fi
 done
+if ! cmp -s "$workdir/skip.md" "$workdir/traced.md"; then
+    echo "MISMATCH: report markdown differs between skip and traced"
+    identical=false
+fi
 if [ "$identical" != true ]; then
-    echo "bench.sh: FAILED — modes disagree; ratios would be meaningless" >&2
+    echo "bench.sh: FAILED — legs disagree; the tracing ratio would be meaningless" >&2
     exit 1
 fi
 echo "   all artifacts byte-identical"
@@ -131,9 +121,7 @@ mem_events=$(grep -o '"total_mem_events": [0-9]*' "$workdir/skip/timing.json" \
 mem_events=${mem_events:-0}
 
 # Fixed-point arithmetic (no bc in the image): x1000 for three decimals.
-speedup_milli=$(( noskip_ms * 1000 / (skip_ms > 0 ? skip_ms : 1) ))
 skip_cps=$(( sim_cycles * 1000 / (skip_ms > 0 ? skip_ms : 1) ))
-noskip_cps=$(( sim_cycles * 1000 / (noskip_ms > 0 ? noskip_ms : 1) ))
 skip_eps=$(( mem_events * 1000 / (skip_ms > 0 ? skip_ms : 1) ))
 trace_overhead_milli=$(( traced_ms * 1000 / (skip_ms > 0 ? skip_ms : 1) ))
 cache_speedup_milli=$(( cachecold_ms * 1000 / (cachewarm_ms > 0 ? cachewarm_ms : 1) ))
@@ -170,11 +158,6 @@ cat > "$out" <<EOF
     "sim_cycles_per_sec": $skip_cps,
     "memory_events_per_sec": $skip_eps
   },
-  "no_skip": {
-    "host_cpus": $host_cpus,
-    "wall_seconds": $((noskip_ms / 1000)).$(printf '%03d' $((noskip_ms % 1000))),
-    "sim_cycles_per_sec": $noskip_cps
-  },
   "trace": {
     "host_cpus": $host_cpus,
     "wall_seconds": $((traced_ms / 1000)).$(printf '%03d' $((traced_ms % 1000))),
@@ -188,8 +171,7 @@ cat > "$out" <<EOF
     "warm_wall_seconds": $((cachewarm_ms / 1000)).$(printf '%03d' $((cachewarm_ms % 1000))),
     "speedup": $((cache_speedup_milli / 1000)).$(printf '%03d' $((cache_speedup_milli % 1000))),
     "floor": 10.0
-  },
-  "speedup": $((speedup_milli / 1000)).$(printf '%03d' $((speedup_milli % 1000)))
+  }
 }
 EOF
 echo "== wrote $out =="

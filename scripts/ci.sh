@@ -100,7 +100,7 @@ cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
     --workload bus4-private --trace 1 --seconds 3
 
 echo "== event-driven vs cycle-stepped equivalence =="
-cargo test -q --release -p cgct-system --offline --test event_skip_equivalence
+cargo test -q --release -p cgct-system --offline --test skip_equivalence
 
 # The A/B smokes below compare repeated runs of the same commands; the
 # content-addressed result cache would let later runs restore the first

@@ -78,6 +78,12 @@ fn remote_sharing_crosses_boards_correctly() {
     // Remote c2c costs snoop (160) + remote transfer (120) = 280 cycles
     // plus L2/bus overhead.
     assert!(done - t0 >= 280, "remote transfer too fast: {}", done - t0);
+    // A flat machine on two boards is still one bus: with no Jetty
+    // fitted, every broadcast snoops all 15 other nodes, and only the
+    // hierarchical machine filters snoops by cluster.
+    assert!(mem.metrics.broadcasts >= 1);
+    assert_eq!(mem.metrics.snooped_tag_lookups, 15 * mem.metrics.broadcasts);
+    assert_eq!(mem.metrics.cluster_snoops_filtered, 0);
     mem.check_invariants().unwrap();
 }
 
