@@ -86,6 +86,31 @@ fn parse_u64(flag: &str, value: Option<String>) -> u64 {
     }
 }
 
+/// Every command `main` dispatches; anything else is rejected up front.
+const COMMANDS: &[&str] = &[
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "fig2",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "rca-stats",
+    "ablations",
+    "scalability",
+    "energy",
+    "region-sweep",
+    "directory",
+    "sectoring",
+    "diag",
+    "all",
+    "run",
+    "cache",
+];
+
 fn parse_args() -> Args {
     let mut command = "all".to_string();
     let mut operand = None;
@@ -113,7 +138,7 @@ fn parse_args() -> Args {
                        fig2 fig6 fig7 fig8 fig9 fig10 the paper's figures\n\
                        rca-stats                      §3.2/§5.2 statistics\n\
                        ablations                      design-choice ablations\n\
-                       scalability                    16-core two-board study\n\
+                       scalability                    4-64-node scale-out sweep\n\
                        energy                         §6 energy estimate\n\
                        region-sweep                   64B-4KB region sizes\n\
                        directory                      snoop vs CGCT vs directory\n\
@@ -137,7 +162,8 @@ fn parse_args() -> Args {
                                 bypass it automatically)\n\n\
                      run-command flags (see EXPERIMENTS.md):\n\
                      --mode <label>        baseline | cgct-<N>B | scaled-<N>B |\n\
-                                           regionscout-<N>B | directory\n\
+                                           regionscout-<N>B | directory |\n\
+                                           dir-cgct-<N>B | hier-<N>B\n\
                      --seed <n>            root seed (default: the plan's)\n\
                      --checkpoint <file>   write a snapshot at each pause\n\
                      --checkpoint-every <cycles>\n\
@@ -179,6 +205,10 @@ fn parse_args() -> Args {
                 std::process::exit(2);
             }
         }
+    }
+    if !COMMANDS.contains(&command.as_str()) {
+        eprintln!("unknown command {command} (see --help)");
+        std::process::exit(2);
     }
     Args {
         command,

@@ -17,6 +17,40 @@ pub struct VictimCandidate<'a, E> {
     pub entry: &'a E,
 }
 
+/// The occupants of a full set, in way order, handed to
+/// victim-selection callbacks. A view over the set's own ways: handing
+/// it over allocates nothing.
+#[derive(Debug)]
+pub struct VictimCandidates<'a, E> {
+    ways: &'a [Way<E>],
+    set: u64,
+    set_shift: u32,
+}
+
+impl<'a, E> VictimCandidates<'a, E> {
+    /// Number of candidates (the associativity).
+    pub fn len(&self) -> usize {
+        self.ways.len()
+    }
+
+    /// Whether there are no candidates (never, for a full set).
+    pub fn is_empty(&self) -> bool {
+        self.ways.is_empty()
+    }
+
+    /// The candidates, in way order: a policy returns the position of
+    /// its pick in this sequence.
+    pub fn iter(&self) -> impl Iterator<Item = VictimCandidate<'a, E>> + 'a {
+        let (set, shift) = (self.set, self.set_shift);
+        self.ways.iter().map(move |w| VictimCandidate {
+            key: (w.tag << shift) | set,
+            last_use: w.last_use,
+            // cgct-lint: allow(D006) candidates are only built over a full set: every way's entry is Some
+            entry: w.entry.as_ref().expect("set is full"),
+        })
+    }
+}
+
 /// Result of [`SetAssocArray::lookup`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LookupOutcome {
@@ -293,7 +327,7 @@ impl<E> SetAssocArray<E> {
         &mut self,
         key: u64,
         entry: E,
-        choose: impl FnOnce(&[VictimCandidate<'_, E>]) -> usize,
+        choose: impl FnOnce(VictimCandidates<'_, E>) -> usize,
     ) -> Option<(u64, E)> {
         self.clock += 1;
         let clock = self.clock;
@@ -318,18 +352,12 @@ impl<E> SetAssocArray<E> {
             return None;
         }
         // Full set: ask the policy for a victim.
-        let candidates: Vec<VictimCandidate<'_, E>> = range
-            .clone()
-            .map(|i| VictimCandidate {
-                key: self.key_from(self.storage[i].tag, set),
-                last_use: self.storage[i].last_use,
-                // cgct-lint: allow(D006) iteration is over a full set: every slot's entry is Some by the loop guard
-                entry: self.storage[i].entry.as_ref().expect("set is full"),
-            })
-            .collect();
-        let victim_way = choose(&candidates);
+        let victim_way = choose(VictimCandidates {
+            ways: &self.storage[range.clone()],
+            set: set as u64,
+            set_shift: self.set_shift,
+        });
         assert!(victim_way < self.ways, "victim index out of range");
-        drop(candidates);
         let i = range.start + victim_way;
         let old_key = self.key_from(self.storage[i].tag, set);
         let old = self.storage[i].entry.take();

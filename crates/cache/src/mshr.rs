@@ -32,23 +32,49 @@ pub struct MshrId(pub usize);
 #[derive(Debug, Clone)]
 pub struct MshrFile {
     slots: Vec<Option<(LineAddr, Cycle)>>,
-    /// Occupied-slot count, kept in step with `slots` so the per-issue
-    /// full check is O(1) instead of a scan.
-    live: usize,
+    /// Bit `i` is set exactly when slot `i` is occupied, so lookups and
+    /// retirement visit only occupied registers and the full check is
+    /// one compare.
+    occupied: u64,
 }
+
+/// The most registers one file holds: one bit of the occupancy mask each.
+const MAX_REGISTERS: usize = 64;
 
 impl MshrFile {
     /// Creates a file with `capacity` registers.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or above 64.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "MSHR file needs at least one register");
+        assert!(
+            capacity <= MAX_REGISTERS,
+            "MSHR file holds at most {MAX_REGISTERS} registers, not {capacity}"
+        );
         MshrFile {
             slots: vec![None; capacity],
-            live: 0,
+            occupied: 0,
         }
+    }
+
+    /// The occupied slot indices, in ascending order.
+    fn occupied_slots(&self) -> impl Iterator<Item = usize> {
+        let mut mask = self.occupied;
+        std::iter::from_fn(move || {
+            (mask != 0).then(|| {
+                let i = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                i
+            })
+        })
+    }
+
+    /// The `(line, fill)` of occupied slot `i`.
+    fn occupant(&self, i: usize) -> (LineAddr, Cycle) {
+        // cgct-lint: allow(D006) `occupied` marks exactly the slots that hold Some; fail-stop on a broken mask
+        self.slots[i].expect("occupied slot")
     }
 
     /// Total number of registers.
@@ -58,20 +84,19 @@ impl MshrFile {
 
     /// Number of registers in use.
     pub fn in_use(&self) -> usize {
-        self.live
+        self.occupied.count_ones() as usize
     }
 
     /// Whether every register is occupied.
     pub fn is_full(&self) -> bool {
-        self.live == self.slots.len()
+        self.in_use() == self.slots.len()
     }
 
     /// Returns the MSHR already tracking `line`, if any (a secondary miss
     /// should merge into it rather than allocate).
     pub fn find(&self, line: LineAddr) -> Option<MshrId> {
-        self.slots
-            .iter()
-            .position(|s| s.is_some_and(|(l, _)| l == line))
+        self.occupied_slots()
+            .find(|&i| self.occupant(i).0 == line)
             .map(MshrId)
     }
 
@@ -80,9 +105,12 @@ impl MshrFile {
     /// (the miss must stall).
     pub fn allocate(&mut self, line: LineAddr, fill: Cycle) -> Option<MshrId> {
         debug_assert!(self.find(line).is_none(), "line {line} already has an MSHR");
-        let idx = self.slots.iter().position(Option::is_none)?;
+        let idx = (!self.occupied).trailing_zeros() as usize;
+        if idx >= self.slots.len() {
+            return None;
+        }
         self.slots[idx] = Some((line, fill));
-        self.live += 1;
+        self.occupied |= 1 << idx;
         Some(MshrId(idx))
     }
 
@@ -118,27 +146,34 @@ impl MshrFile {
     pub fn complete(&mut self, id: MshrId) -> (LineAddr, Cycle) {
         let slot = self.slot(id);
         self.slots[id.0] = None;
-        self.live -= 1;
+        self.occupied &= !(1 << id.0);
         slot
     }
 
     /// Frees every register whose fill has arrived by `now` and returns
     /// the earliest fill still outstanding, if any.
     pub fn retire_filled(&mut self, now: Cycle) -> Option<Cycle> {
-        for s in &mut self.slots {
-            if s.is_some_and(|(_, fill)| fill <= now) {
-                *s = None;
-                self.live -= 1;
+        let mut next = None;
+        let mut mask = self.occupied;
+        while mask != 0 {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let (_, fill) = self.occupant(i);
+            if fill <= now {
+                self.slots[i] = None;
+                self.occupied &= !(1 << i);
+            } else if next.is_none_or(|n| fill < n) {
+                next = Some(fill);
             }
         }
-        self.next_fill()
+        next
     }
 
     /// The earliest fill time across all allocated registers — the next
     /// cycle at which this file releases a miss; `None` when no miss is
     /// outstanding.
     pub fn next_fill(&self) -> Option<Cycle> {
-        self.slots.iter().flatten().map(|&(_, fill)| fill).min()
+        self.occupied_slots().map(|i| self.occupant(i).1).min()
     }
 
     /// [`MshrFile::find`] that, on a merge hit, records the merge and
@@ -212,6 +247,12 @@ impl cgct_sim::Snap for MshrFile {
         if items.is_empty() {
             return Err("MSHR file needs at least one register".to_string());
         }
+        if items.len() > MAX_REGISTERS {
+            return Err(format!(
+                "MSHR file holds at most {MAX_REGISTERS} registers, snapshot has {}",
+                items.len()
+            ));
+        }
         let mut m = MshrFile::new(items.len());
         for (i, s) in items.iter().enumerate() {
             if matches!(s, Json::Null) {
@@ -225,7 +266,7 @@ impl cgct_sim::Snap for MshrFile {
             };
             let line = LineAddr(field(s, "line")?.as_u64().ok_or("line must be u64")?);
             m.slots[i] = Some((line, fill));
-            m.live += 1;
+            m.occupied |= 1 << i;
         }
         Ok(m)
     }
@@ -269,6 +310,36 @@ mod tests {
     #[should_panic(expected = "at least one register")]
     fn rejects_zero_capacity() {
         let _ = MshrFile::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 registers")]
+    fn rejects_more_registers_than_the_occupancy_mask_holds() {
+        let _ = MshrFile::new(65);
+    }
+
+    #[test]
+    fn the_widest_file_fills_every_register() {
+        let mut m = MshrFile::new(64);
+        for i in 0..64 {
+            assert_eq!(
+                m.allocate(LineAddr(i), Cycle(i + 1)),
+                Some(MshrId(i as usize))
+            );
+        }
+        assert!(m.is_full());
+        assert_eq!(m.allocate(LineAddr(99), Cycle(9)), None);
+        assert_eq!(m.find(LineAddr(63)), Some(MshrId(63)));
+        assert_eq!(m.retire_filled(Cycle(63)), Some(Cycle(64)));
+        assert_eq!(m.in_use(), 1);
+    }
+
+    #[test]
+    fn snapshot_wider_than_the_mask_is_an_error() {
+        use cgct_sim::{Json, Snap};
+        let wide = Json::Array(vec![Json::Null; 65]);
+        let err = MshrFile::unsnap(&wide).unwrap_err();
+        assert!(err.contains("at most 64"), "{err}");
     }
 
     #[test]

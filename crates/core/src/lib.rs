@@ -53,7 +53,7 @@ pub mod state;
 pub use jetty::JettyFilter;
 pub use overhead::{OverheadRow, StorageModel};
 pub use protocol::{external_next_state, local_fill_next_state, FillKind};
-pub use rca::{RcaConfig, RcaStats, RegionCoherenceArray, RegionEntry, RegionEviction};
+pub use rca::{LocalFill, RcaConfig, RcaStats, RegionCoherenceArray, RegionEntry, RegionEviction};
 pub use regionscout::RegionScout;
 pub use response::RegionSnoopResponse;
 pub use scaled::{ScaledRca, ScaledRegionState};

@@ -97,6 +97,26 @@ pub struct RegionEviction {
     pub entry: RegionEntry,
 }
 
+/// What [`RegionCoherenceArray::local_fill`] did to the array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LocalFill {
+    /// The region already had an entry; only its state changed.
+    Updated,
+    /// A new entry was allocated for the region, displacing the
+    /// `Some` region when its set was full.
+    Allocated(Option<RegionEviction>),
+}
+
+impl LocalFill {
+    /// The region the fill displaced, if any.
+    pub fn eviction(self) -> Option<RegionEviction> {
+        match self {
+            LocalFill::Updated | LocalFill::Allocated(None) => None,
+            LocalFill::Allocated(Some(ev)) => Some(ev),
+        }
+    }
+}
+
 /// Counters the paper reports about RCA behaviour (§3.2, §5.2).
 #[derive(Debug)]
 pub struct RcaStats {
@@ -278,7 +298,8 @@ impl RegionCoherenceArray {
 
     /// Applies the local request's completion to the region state,
     /// allocating an entry if needed (which may displace a victim region —
-    /// the caller must then flush the victim's cached lines).
+    /// the caller must then flush the victim's cached lines). The result
+    /// says whether an entry was allocated, and what it displaced.
     ///
     /// `response` must be `Some` when the request was broadcast and `None`
     /// when it went direct / completed locally. `mc` is the owning memory
@@ -294,10 +315,10 @@ impl RegionCoherenceArray {
         fill: FillKind,
         response: Option<RegionSnoopResponse>,
         mc: u8,
-    ) -> Option<RegionEviction> {
+    ) -> LocalFill {
         if let Some(entry) = self.array.access(region.0) {
             entry.state = local_fill_next_state(entry.state, fill, response);
-            return None;
+            return LocalFill::Updated;
         }
         let state = local_fill_next_state(RegionState::Invalid, fill, response);
         let entry = RegionEntry {
@@ -326,7 +347,7 @@ impl RegionCoherenceArray {
             // cgct-lint: allow(D006) a full set always offers replacement candidates; fail-stop on a broken replacement invariant
             pick(&|_| true).expect("full set has candidates")
         });
-        displaced.map(|(key, entry)| {
+        LocalFill::Allocated(displaced.map(|(key, entry)| {
             self.stats.evictions.inc();
             self.stats
                 .evicted_line_counts
@@ -335,7 +356,7 @@ impl RegionCoherenceArray {
                 region: RegionAddr(key),
                 entry,
             }
-        })
+        }))
     }
 
     /// Handles an external (another processor's) request to `region`:
@@ -630,6 +651,7 @@ mod tests {
                 Some(RegionSnoopResponse::NONE),
                 0,
             )
+            .eviction()
             .expect("eviction");
         assert_eq!(ev.region, empty);
         assert_eq!(ev.entry.line_count, 0);
@@ -652,6 +674,7 @@ mod tests {
                 Some(RegionSnoopResponse::NONE),
                 0,
             )
+            .eviction()
             .expect("eviction");
         assert_eq!(ev.region, a); // LRU of the two
         assert_eq!(ev.entry.line_count, 1);
@@ -676,6 +699,7 @@ mod tests {
                 Some(RegionSnoopResponse::NONE),
                 0,
             )
+            .eviction()
             .expect("eviction");
         assert_eq!(ev.region, a); // strict LRU ignores the line count
     }

@@ -5,8 +5,8 @@
 // ^ D002 mirror (clippy.toml): test code is exempt by policy
 
 use cgct::{
-    external_next_state, local_fill_next_state, FillKind, RcaConfig, RegionCoherenceArray,
-    RegionSnoopResponse, RegionState,
+    external_next_state, local_fill_next_state, FillKind, LocalFill, RcaConfig,
+    RegionCoherenceArray, RegionSnoopResponse, RegionState,
 };
 use cgct_cache::{Geometry, RegionAddr, ReqKind};
 use cgct_sim::check::{check, gen_vec};
@@ -144,7 +144,8 @@ fn rca_line_counts_match_reference() {
                         clean: flag,
                         dirty: !flag,
                     };
-                    if let Some(ev) = rca.local_fill(
+                    let had_entry = rca.entry(region).is_some();
+                    let outcome = rca.local_fill(
                         region,
                         if flag {
                             FillKind::Shared
@@ -153,7 +154,11 @@ fn rca_line_counts_match_reference() {
                         },
                         Some(resp),
                         0,
-                    ) {
+                    );
+                    // An allocation is reported exactly when the region
+                    // had no entry.
+                    assert_eq!(matches!(outcome, LocalFill::Allocated(_)), !had_entry);
+                    if let Some(ev) = outcome.eviction() {
                         // Displaced region: the caller flushes its lines.
                         counts.remove(&ev.region.0);
                     }

@@ -9,6 +9,8 @@ use cgct_interconnect::CoreId;
 use cgct_sim::{Cycle, SeedSequence};
 use cgct_trace::{SharedSink, TraceReport, DEFAULT_CAPACITY};
 use cgct_workloads::{BenchmarkSpec, WorkloadThread};
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Adapter giving one core a view of the shared memory system.
 struct Port<'a> {
@@ -92,8 +94,8 @@ pub struct Machine {
     now: Cycle,
     benchmark: String,
     /// Per-core wakeup times from the last tick (see
-    /// [`cgct_cpu::Wakeup`]); `now` jumps to their minimum when
-    /// `cycle_skip` is on.
+    /// [`cgct_cpu::Wakeup`]); `now` jumps to the minimum over unfinished
+    /// cores when `cycle_skip` is on.
     wakeups: Vec<Cycle>,
     /// Per-core committed counts at the metrics epoch (end of warmup),
     /// so measured-phase counts can be reported exactly even when the
@@ -342,72 +344,64 @@ impl Machine {
     /// Runs cores until each has committed `committed_target`
     /// instructions or `now` reaches the (exclusive) `max_cycles` cap.
     ///
-    /// One clock (DESIGN.md "One clock"): with cycle skipping on, `now`
-    /// jumps to the minimum wakeup across unfinished cores after each
-    /// round; otherwise it steps by one. Both modes tick the same cores
-    /// with the same `now` at every cycle where any core makes progress,
-    /// so the sequence of memory-system calls — and with it every
-    /// architectural outcome — is identical. Memory completion events
-    /// never stop the clock: each stop retires the events due by then.
-    /// The cap is exclusive: no core is ever ticked at a cycle >=
-    /// `max_cycles`, and a truncated run stops with `now == max_cycles`
-    /// in both modes.
+    /// One clock (DESIGN.md "One clock"): the unfinished cores wait in a
+    /// calendar, a binary min-heap keyed `(wakeup, core)`. Each round
+    /// pops and ticks the cores due at `now` in index order, files them
+    /// again under their new wakeups, and moves `now` to the smallest
+    /// key left. The cycle-stepped reference (cycle skipping off) files
+    /// every ticked core under `now + 1` instead, so every core is due
+    /// every cycle. Both modes tick the same cores with the same `now`
+    /// at every cycle where any core makes progress, so the sequence of
+    /// memory-system calls — and with it every architectural outcome —
+    /// is identical. Memory completion events never stop the clock:
+    /// each stop retires the events due by then. The cap is exclusive:
+    /// no core is ever ticked at a cycle >= `max_cycles`, and a
+    /// truncated run stops with `now == max_cycles` in both modes.
     pub(crate) fn run_until(&mut self, committed_target: u64, max_cycles: u64) -> bool {
-        let n = self.cores.len();
-        // `unfinished` lists the cores still short of the target, in
-        // index order. Maintaining it incrementally keeps each round at
-        // one pass over the *running* cores.
-        let mut unfinished: Vec<usize> = (0..n)
+        let now = self.now.0;
+        // A core that met an earlier phase's quota early carries a
+        // wakeup before `now`: the clamp files it under `now`, so the
+        // first round ticks it in index order with the others due then.
+        let mut calendar: BinaryHeap<Reverse<(u64, usize)>> = (0..self.cores.len())
             .filter(|&i| self.cores[i].committed() < committed_target)
+            .map(|i| {
+                let key = if self.cycle_skip {
+                    self.wakeups[i].0.max(now)
+                } else {
+                    now
+                };
+                Reverse((key, i))
+            })
             .collect();
         loop {
-            if unfinished.is_empty() {
+            if calendar.is_empty() {
                 return false;
             }
             if self.now.0 >= max_cycles {
                 return true;
             }
-            // One pass: tick every due core, drop freshly-finished
-            // cores, and fold the two smallest wakeups of the rest
-            // (`lead` is the core holding the smallest).
-            let (mut first, mut second, mut lead) = (u64::MAX, u64::MAX, usize::MAX);
-            unfinished.retain(|&i| {
-                let due = !self.cycle_skip || self.wakeups[i] <= self.now;
-                if due && self.tick_core(i, committed_target) {
-                    return false;
-                }
-                let w = self.wakeups[i].0;
-                if w < first {
-                    (second, first, lead) = (first, w, i);
-                } else if w < second {
-                    second = w;
-                }
-                true
-            });
-            // Run ahead: while one core's wakeup is strictly earlier than
-            // every other running core's, each round would tick that core
-            // alone, so tick it directly. A tie returns to the round,
-            // which keeps equal-time ticks in index order.
-            while self.cycle_skip && first < second && first < max_cycles {
-                self.now = Cycle(first);
-                self.mem.advance(self.now);
-                if self.tick_core(lead, committed_target) {
-                    // The lead finished: the clock moves on from `now`
-                    // exactly as after a round in which it finished.
-                    unfinished.retain(|&i| i != lead);
-                    first = u64::MAX;
+            // Tick every core due at `now`; ties pop in index order.
+            while let Some(mut top) = calendar.peek_mut() {
+                let Reverse((due, i)) = *top;
+                if due > self.now.0 {
                     break;
                 }
-                first = self.wakeups[lead].0;
+                if self.tick_core(i, committed_target) {
+                    PeekMut::pop(top);
+                } else {
+                    // A ticked core's wakeup is at least `now + 1`.
+                    let key = if self.cycle_skip {
+                        self.wakeups[i].0
+                    } else {
+                        self.now.0 + 1
+                    };
+                    *top = Reverse((key, i));
+                }
             }
-            // Every unfinished core's wakeup is > now here (ticked cores
-            // returned >= now + 1; skipped ones were already ahead), so
-            // the clock only moves forward.
-            let mut next = self.now.0 + 1;
-            let earliest = first.min(second);
-            if self.cycle_skip && earliest != u64::MAX && earliest > next {
-                next = earliest;
-            }
+            // Every key left is > now, so the clock only moves forward.
+            let next = calendar
+                .peek()
+                .map_or(self.now.0 + 1, |&Reverse((due, _))| due);
             self.now = Cycle(next.min(max_cycles));
             // Retire memory completion events that time has now reached.
             // Purely observational (events carry no state), and both loop
@@ -1014,6 +1008,53 @@ mod tests {
         let (_, quota) = run_ahead_edges(one_streams_three_wait, 40);
         assert!(quota > 0, "no core finished while running ahead");
         assert_matches_cycle_stepped(one_streams_three_wait, 40);
+    }
+
+    /// Runs `one_streams_three_wait` through a warm-up of `warmup`
+    /// instructions and a measured phase of as many again, every source
+    /// logging its core's index on each pull. Returns the result, the
+    /// pull log (the order in which the loop ticked fetching cores), and
+    /// whether some core entered the measured phase with a wakeup before
+    /// `now` — one that met the warm-up quota early and sat out the rest
+    /// of the warm-up.
+    fn phase_boundary_run(skip: bool, warmup: u64) -> (RunResult, Vec<usize>, bool) {
+        use std::sync::{Arc, Mutex};
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let sources = one_streams_three_wait()
+            .into_iter()
+            .enumerate()
+            .map(|(c, mut inner)| {
+                let log = Arc::clone(&log);
+                Box::new(move || {
+                    log.lock().unwrap().push(c);
+                    inner.next_uop()
+                }) as Box<dyn UopSource + Send>
+            })
+            .collect();
+        let mut cfg = SystemConfig::paper_default(CoherenceMode::Baseline);
+        cfg.perturbation = 0;
+        let mut m = Machine::from_sources(cfg, sources, "scripted", 1);
+        m.set_cycle_skip(skip);
+        assert!(!m.run_until(warmup, 1_000_000));
+        let stale = m.wakeups.iter().any(|&w| w < m.now);
+        m.mark_warmed();
+        assert!(!m.run_until(2 * warmup, 1_000_000));
+        let result = m.finish_run(false);
+        let pulls = log.lock().unwrap().clone();
+        (result, pulls, stale)
+    }
+
+    #[test]
+    fn a_core_that_met_the_warmup_quota_early_ticks_in_index_order_after_the_boundary() {
+        let (skip, skip_pulls, stale) = phase_boundary_run(true, 40);
+        assert!(stale, "no core carried an early wakeup across the boundary");
+        let (stepped, stepped_pulls, _) = phase_boundary_run(false, 40);
+        assert!(!skip.truncated);
+        assert_eq!(format!("{skip:?}"), format!("{stepped:?}"));
+        assert_eq!(
+            skip_pulls, stepped_pulls,
+            "cores ticked in a different order"
+        );
     }
 
     #[test]

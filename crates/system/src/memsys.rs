@@ -16,7 +16,7 @@ use crate::directory::{
 use crate::metrics::{MemMetrics, RequestCategory};
 use crate::oracle::classify;
 use cgct::{
-    FillKind, JettyFilter, RegionCoherenceArray, RegionPermission, RegionScout,
+    FillKind, JettyFilter, LocalFill, RegionCoherenceArray, RegionPermission, RegionScout,
     RegionSnoopResponse, ScaledRca,
 };
 use cgct_cache::{
@@ -82,26 +82,28 @@ impl Tracker {
         }
     }
 
-    /// Applies a local completion; returns a displaced region whose lines
-    /// must be flushed (region, line count).
+    /// Applies a local completion; returns whether an RCA allocated an
+    /// entry for `region`, and a displaced region whose lines must be
+    /// flushed (region, line count).
     fn local_complete(
         &mut self,
         region: RegionAddr,
         fill: FillKind,
         resp: Option<MergedRegionResp>,
         mc: u8,
-    ) -> Option<(RegionAddr, u32)> {
+    ) -> (bool, Option<(RegionAddr, u32)>) {
         match self {
-            Tracker::None => None,
-            Tracker::Rca(rca) => rca
-                .local_fill(region, fill, resp.map(|r| r.rca), mc)
-                .map(|ev| (ev.region, ev.entry.line_count)),
-            Tracker::Scaled(s) => s.local_fill(region, resp.map(|r| r.cached_bit), mc),
+            Tracker::None => (false, None),
+            Tracker::Rca(rca) => match rca.local_fill(region, fill, resp.map(|r| r.rca), mc) {
+                LocalFill::Updated => (false, None),
+                LocalFill::Allocated(ev) => (true, ev.map(|ev| (ev.region, ev.entry.line_count))),
+            },
+            Tracker::Scaled(s) => (false, s.local_fill(region, resp.map(|r| r.cached_bit), mc)),
             Tracker::Scout(s) => {
                 if let Some(r) = resp {
                     s.record_global_response(region, r.cached_bit);
                 }
-                None
+                (false, None)
             }
         }
     }
@@ -321,6 +323,73 @@ impl RegionLineIndex {
     }
 }
 
+/// Region -> mask of the nodes whose RCA holds an entry for the region.
+///
+/// The paper's point is that a node that knows who holds a region need
+/// not ask everyone. An external request changes nothing at a node whose
+/// RCA has no entry for the region, and by RCA inclusion (no entry, no
+/// cached line) such a node's L2 holds no line of it either. So this one
+/// mask bounds both the region relay ([`MemorySystem::region_external_all`])
+/// and the bus's line snoop. Kept only when every tracker is an RCA and
+/// the machine has at most 64 nodes; written only when an RCA allocates,
+/// evicts or self-invalidates a region. Derived state: never serialized,
+/// rebuilt on restore, and checked by [`MemorySystem::check_invariants`].
+#[derive(Debug, Default)]
+struct RegionHolders {
+    /// Region key -> node bitmask; a region no RCA holds has no entry.
+    map: cgct_sim::hash::StableHashMap<u64, u64>,
+}
+
+impl RegionHolders {
+    fn mask(&self, region: RegionAddr) -> u64 {
+        self.map.get(&region.0).copied().unwrap_or(0)
+    }
+
+    fn add(&mut self, region: RegionAddr, node: usize) {
+        *self.map.entry(region.0).or_insert(0) |= 1 << node;
+    }
+
+    fn remove(&mut self, region: RegionAddr, node: usize) {
+        if let Some(mask) = self.map.get_mut(&region.0) {
+            *mask &= !(1 << node);
+            if *mask == 0 {
+                self.map.remove(&region.0);
+            }
+        }
+    }
+}
+
+/// The nodes a snoop loop visits, in ascending order: the set bits of a
+/// node mask, or every node.
+enum Visit {
+    Mask(u64),
+    All(std::ops::Range<usize>),
+}
+
+impl Iterator for Visit {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            Visit::Mask(mask) => (*mask != 0).then(|| {
+                let node = mask.trailing_zeros() as usize;
+                *mask &= *mask - 1;
+                node
+            }),
+            Visit::All(nodes) => nodes.next(),
+        }
+    }
+}
+
+/// The mask of the first `n` nodes.
+fn low_nodes(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1 << n) - 1
+    }
+}
+
 /// One processor node's private state.
 #[derive(Debug)]
 struct Node {
@@ -486,6 +555,9 @@ pub struct MemorySystem {
     /// Per-cluster address buses (`Hierarchical` only; empty
     /// otherwise). Flat modes arbitrate `bus` instead.
     cluster_buses: Vec<AddressNetwork>,
+    /// Region -> RCA-holder node mask (RCA modes of at most 64 nodes
+    /// only): the snoop loops visit only its bits.
+    holders: Option<RegionHolders>,
     /// Per-node data-network port: next time it is free (Table 3's
     /// 2.4 GB/s per-processor data bandwidth).
     data_ports: Vec<Cycle>,
@@ -606,9 +678,16 @@ impl MemorySystem {
                 .collect(),
             _ => Vec::new(),
         };
+        let rca_mode = matches!(
+            cfg.mode,
+            CoherenceMode::Cgct { .. }
+                | CoherenceMode::DirectoryCgct { .. }
+                | CoherenceMode::Hierarchical { .. }
+        );
         MemorySystem {
             metrics: MemMetrics::new(cfg.traffic_window),
             metrics_epoch: Cycle::ZERO,
+            holders: (rca_mode && topo.total_cores() <= 64).then(RegionHolders::default),
             directories,
             region_dir_caches,
             cluster_dir,
@@ -922,6 +1001,14 @@ impl MemorySystem {
         self.sample_countdown =
             u32::try_from(countdown).map_err(|_| "sample countdown out of range".to_string())?;
         self.sanitize_countdown = self.sanitize_interval;
+        if let Some(holders) = &mut self.holders {
+            holders.map.clear();
+            for (n, node) in self.nodes.iter().enumerate() {
+                for (region, _) in node.tracker.rca().into_iter().flat_map(|rca| rca.iter()) {
+                    holders.add(region, n);
+                }
+            }
+        }
         self.check_invariants()
             .map_err(|e| format!("inconsistent snapshot: {e}"))
     }
@@ -1283,10 +1370,32 @@ impl MemorySystem {
                 }
                 self.events.schedule(snoop_done, MemEvent::SnoopComplete);
 
-                // Snoop every other visible node's cache line state.
+                // Snoop every other visible node's cache line state. With
+                // the RCA-holder mask and no Jetty filter, every visible
+                // node's tag lookup is counted but only the region's RCA
+                // holders are probed: any other node caches no line of
+                // the region, so its lookup would find Invalid and change
+                // nothing.
                 let mut line_resp = LineSnoopResponse::default();
                 let mut owner: Option<CoreId> = None;
-                for other in 0..self.nodes.len() {
+                let visit = match &self.holders {
+                    Some(holders) if !self.cfg.jetty_filter => {
+                        let visible = match clusters {
+                            None => low_nodes(self.nodes.len()),
+                            // Clusters are equal runs of consecutive nodes.
+                            Some((mine, visit)) => {
+                                let per = self.nodes.len() / self.topo.clusters();
+                                Visit::Mask(visit | 1 << mine)
+                                    .fold(0, |m, c| m | low_nodes(per) << (c * per))
+                            }
+                        } & !(1 << core.0);
+                        self.metrics.snooped_tag_lookups += u64::from(visible.count_ones());
+                        Visit::Mask(holders.mask(region) & visible)
+                    }
+                    _ => Visit::All(0..self.nodes.len()),
+                };
+                let count_lookups = matches!(visit, Visit::All(_));
+                for other in visit {
                     if other == core.0 || skipped(&self.topo, other) {
                         continue;
                     }
@@ -1303,7 +1412,9 @@ impl MemorySystem {
                             continue;
                         }
                     }
-                    self.metrics.snooped_tag_lookups += 1;
+                    if count_lookups {
+                        self.metrics.snooped_tag_lookups += 1;
+                    }
                     let state = self.nodes[other]
                         .l2
                         .get(line.0)
@@ -1351,7 +1462,7 @@ impl MemorySystem {
 
                 // Region snoop responses, merged across snoopers.
                 let region_resp =
-                    self.region_external_all(core, region, req, fill_exclusive, snoop_done, tid);
+                    self.region_external_all(core, region, req, fill_exclusive, snoop_done);
 
                 // Requester's region update (may displace a region).
                 if req != ReqKind::Writeback {
@@ -1563,8 +1674,7 @@ impl MemorySystem {
                 // Region-grain outcome relayed to every node's tracker
                 // through the home's region directory.
                 let fill_exclusive = fill_state.can_silently_modify();
-                let resp =
-                    self.region_external_all(core, region, req, fill_exclusive, dir_done, tid);
+                let resp = self.region_external_all(core, region, req, fill_exclusive, dir_done);
                 let fill = FillKind::from_moesi(fill_state);
                 self.rca_local_complete(core, region, fill, Some(resp), mc, now);
             }
@@ -1681,9 +1791,8 @@ impl MemorySystem {
     ) -> Cycle {
         self.metrics.local.record(RequestCategory::of(req));
         self.check_direct_decision(core, req, line);
-        self.nodes[core.0]
-            .tracker
-            .local_complete(region, FillKind::Exclusive, None, mc.0 as u8);
+        // The claim is a valid entry, so nothing is allocated or displaced.
+        let _ = self.tracker_local_complete(core, region, FillKind::Exclusive, None, mc);
         if req == ReqKind::Dcbz {
             self.fill_l2(core, line, MoesiState::Modified, now);
             self.trace_unkeyed(core, now, EventKind::DcbzElided { line: line.0 });
@@ -1753,6 +1862,31 @@ impl MemorySystem {
         done
     }
 
+    /// Applies a local completion to node `core`'s tracker, keeping the
+    /// RCA-holder mask in step; returns a displaced region whose lines
+    /// must be flushed (region, line count).
+    fn tracker_local_complete(
+        &mut self,
+        core: CoreId,
+        region: RegionAddr,
+        fill: FillKind,
+        resp: Option<MergedRegionResp>,
+        mc: McId,
+    ) -> Option<(RegionAddr, u32)> {
+        let (allocated, victim) = self.nodes[core.0]
+            .tracker
+            .local_complete(region, fill, resp, mc.0 as u8);
+        if let Some(holders) = &mut self.holders {
+            if allocated {
+                holders.add(region, core.0);
+            }
+            if let Some((victim, _)) = victim {
+                holders.remove(victim, core.0);
+            }
+        }
+        victim
+    }
+
     /// Requester-side region completion: installs/updates the region
     /// entry and flushes any displaced region out of the hierarchy.
     fn rca_local_complete(
@@ -1764,10 +1898,7 @@ impl MemorySystem {
         mc: McId,
         now: Cycle,
     ) {
-        if let Some((victim, count)) = self.nodes[core.0]
-            .tracker
-            .local_complete(region, fill, resp, mc.0 as u8)
-        {
+        if let Some((victim, count)) = self.tracker_local_complete(core, region, fill, resp, mc) {
             self.trace_unkeyed(
                 core,
                 now,
@@ -1784,8 +1915,10 @@ impl MemorySystem {
     /// request to `region` and merges their region-grain responses. On
     /// the snooping bus this is the region snoop; in the directory and
     /// hierarchical machines it models the region-grain outcome relayed
-    /// through the home's region directory. Trace self-invalidations
-    /// are stamped at `when`.
+    /// through the home's region directory. Only the region's RCA
+    /// holders are visited where the mask is kept: a node with no entry
+    /// answers nothing and changes nothing. Trace self-invalidations are
+    /// stamped at `when`, in node order.
     fn region_external_all(
         &mut self,
         core: CoreId,
@@ -1793,36 +1926,52 @@ impl MemorySystem {
         req: ReqKind,
         fill_exclusive: bool,
         when: Cycle,
-        tid: Option<(u8, u64)>,
     ) -> MergedRegionResp {
+        let visit = match &self.holders {
+            Some(holders) => Visit::Mask(holders.mask(region) & !(1 << core.0)),
+            None => Visit::All(0..self.nodes.len()),
+        };
         let mut region_resp = MergedRegionResp::default();
-        for other in 0..self.nodes.len() {
+        for other in visit {
             if other == core.0 {
                 continue;
             }
-            let my_lines = match self.nodes[other].tracker {
-                Tracker::Scout(_) => self.nodes[other].count_region_lines(self.geom, region),
-                _ => 0,
-            };
-            let si_before = if tid.is_some() {
-                self.nodes[other].tracker.self_invalidations()
-            } else {
-                0
-            };
-            let r = self.nodes[other]
-                .tracker
-                .external(region, req, fill_exclusive, my_lines);
-            if tid.is_some() && self.nodes[other].tracker.self_invalidations() > si_before {
-                self.trace_unkeyed(
-                    CoreId(other),
-                    when,
-                    EventKind::RcaSelfInvalidate { region: region.0 },
-                );
-            }
+            let r = self.tracker_external(other, region, req, fill_exclusive, when);
             region_resp.rca.merge(r.rca);
             region_resp.cached_bit |= r.cached_bit;
         }
         region_resp
+    }
+
+    /// Delivers an external request to `region` to node `other`'s
+    /// tracker. A self-invalidation leaves the RCA-holder mask and, when
+    /// tracing, records a trace event stamped at `when`.
+    fn tracker_external(
+        &mut self,
+        other: usize,
+        region: RegionAddr,
+        req: ReqKind,
+        fill_exclusive: bool,
+        when: Cycle,
+    ) -> MergedRegionResp {
+        let node = &mut self.nodes[other];
+        let my_lines = match node.tracker {
+            Tracker::Scout(_) => node.count_region_lines(self.geom, region),
+            _ => 0,
+        };
+        let si_before = node.tracker.self_invalidations();
+        let r = node.tracker.external(region, req, fill_exclusive, my_lines);
+        if node.tracker.self_invalidations() > si_before {
+            if let Some(holders) = &mut self.holders {
+                holders.remove(region, other);
+            }
+            self.trace_unkeyed(
+                CoreId(other),
+                when,
+                EventKind::RcaSelfInvalidate { region: region.0 },
+            );
+        }
+        r
     }
 
     /// DirectoryCgct: refreshes the home's region-grain directory cache
@@ -1980,38 +2129,10 @@ impl MemorySystem {
         // external parts only stay conservative).
         let out = snoop_line(owner_state, ReqKind::Read);
         self.apply_snooped_transition(owner.0, line, owner_state, out.next, region);
-        let si_before = if self.tracer.is_some() {
-            self.nodes[owner.0].tracker.self_invalidations()
-        } else {
-            0
-        };
-        let _ = self.nodes[owner.0]
-            .tracker
-            .external(region, ReqKind::Read, false, 0);
-        if self.tracer.is_some() && self.nodes[owner.0].tracker.self_invalidations() > si_before {
-            self.trace_unkeyed(
-                owner,
-                now,
-                EventKind::RcaSelfInvalidate { region: region.0 },
-            );
-        }
+        let _ = self.tracker_external(owner.0, region, ReqKind::Read, false, now);
         // Requester fills shared; the region entry stays externally dirty.
-        if let Some((victim, count)) = self.nodes[core.0].tracker.local_complete(
-            region,
-            FillKind::Shared,
-            None,
-            self.topo.mc_of_region(region).0 as u8,
-        ) {
-            self.trace_unkeyed(
-                core,
-                now,
-                EventKind::RcaEvict {
-                    region: victim.0,
-                    lines: count,
-                },
-            );
-            self.flush_region(core, now, victim);
-        }
+        let mc = self.topo.mc_of_region(region);
+        self.rca_local_complete(core, region, FillKind::Shared, None, mc, now);
         self.fill_l2(core, line, MoesiState::Shared, now);
         let dist = self.topo.core_distance(core, owner);
         let done = now
@@ -2366,6 +2487,38 @@ impl MemorySystem {
                 }
             }
         }
+        // 3b. The RCA-holder mask: bit n is set exactly when node n's RCA
+        //     has an entry for the region, and no region maps to an
+        //     empty mask (the snoop loops skip every node off the mask).
+        if let Some(holders) = &self.holders {
+            for (&region, &mask) in &holders.map {
+                if mask == 0 {
+                    return Err(format!("holder mask for region {region:#x} is empty"));
+                }
+                for n in Visit::Mask(mask) {
+                    let held = self
+                        .nodes
+                        .get(n)
+                        .and_then(|node| node.tracker.rca())
+                        .is_some_and(|rca| rca.entry(RegionAddr(region)).is_some());
+                    if !held {
+                        return Err(format!(
+                            "holder mask for region {region:#x} names node {n}, \
+                             whose RCA has no entry"
+                        ));
+                    }
+                }
+            }
+            for (n, node) in self.nodes.iter().enumerate() {
+                for (region, _) in node.tracker.rca().into_iter().flat_map(|rca| rca.iter()) {
+                    if holders.mask(region) & 1 << n == 0 {
+                        return Err(format!(
+                            "node {n}: RCA entry for {region} missing from the holder mask"
+                        ));
+                    }
+                }
+            }
+        }
         // 4. Region exclusivity: CI/DI on node A means no other node has
         //    a valid entry for (or caches lines of) the region.
         for (a, node_a) in self.nodes.iter().enumerate() {
@@ -2669,6 +2822,69 @@ mod tests {
         assert_eq!(m.metrics.direct.data, 1);
         assert!(t2 > t1);
         m.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn holder_mask_follows_rca_allocation_and_self_invalidation() {
+        let mut m = MemorySystem::new(cgct_cfg(), 1);
+        let a = Addr(0x4000);
+        let region = m.geometry().region_of_line(m.geometry().line_of(a));
+        let mask = |m: &MemorySystem| m.holders.as_ref().unwrap().mask(region);
+        m.load(C0, Cycle(0), a, false);
+        m.load(C1, Cycle(1000), a, false);
+        assert_eq!(mask(&m), 1 << C0.0 | 1 << C1.0);
+        // C0's store invalidates C1's only line of the region, so C1's
+        // now-empty entry self-invalidates and leaves the mask.
+        m.store(C0, Cycle(2000), a);
+        assert!(m.rca(C1).unwrap().entry(region).is_none());
+        assert_eq!(mask(&m), 1 << C0.0);
+        m.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn invariant_walk_catches_a_drifted_holder_mask() {
+        let mut m = MemorySystem::new(cgct_cfg(), 1);
+        let a = Addr(0x4000);
+        let region = m.geometry().region_of_line(m.geometry().line_of(a));
+        m.load(C0, Cycle(0), a, false);
+        m.check_invariants().unwrap();
+        let drift = |m: &mut MemorySystem, edit: &dyn Fn(&mut RegionHolders)| {
+            let saved = m.holders.as_ref().unwrap().map.clone();
+            edit(m.holders.as_mut().unwrap());
+            let err = m.check_invariants().unwrap_err();
+            m.holders.as_mut().unwrap().map = saved;
+            err
+        };
+        let err = drift(&mut m, &|h| h.add(region, 1));
+        assert!(err.contains("names node 1"), "{err}");
+        let err = drift(&mut m, &|h| h.remove(region, C0.0));
+        assert!(err.contains("missing from the holder mask"), "{err}");
+        let err = drift(&mut m, &|h| {
+            h.map.insert(region.0 + 1, 0);
+        });
+        assert!(err.contains("is empty"), "{err}");
+        m.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn holder_mask_is_kept_only_for_rca_trackers_of_at_most_64_nodes() {
+        let (region_bytes, sets) = (512, 8192);
+        for (mode, kept) in [
+            (CoherenceMode::Baseline, false),
+            (CoherenceMode::Directory, false),
+            (CoherenceMode::Scaled { region_bytes, sets }, false),
+            (CoherenceMode::RegionScout { region_bytes }, false),
+            (CoherenceMode::Cgct { region_bytes, sets }, true),
+            (CoherenceMode::DirectoryCgct { region_bytes, sets }, true),
+            (CoherenceMode::Hierarchical { region_bytes, sets }, true),
+        ] {
+            let m = MemorySystem::new(SystemConfig::paper_default(mode), 1);
+            assert_eq!(m.holders.is_some(), kept, "{}", mode.label());
+        }
+        // A flat CGCT bus past 64 nodes has no mask bit for every node.
+        let mut cfg = cgct_cfg();
+        cfg.topology = Topology::for_cores(128);
+        assert!(MemorySystem::new(cfg, 1).holders.is_none());
     }
 
     #[test]

@@ -204,7 +204,7 @@ cmp -s "$san_dir/cache_cold.md" "$san_dir/cache_healed.md" || {
 }
 echo "warm run all-hits and byte-identical; poisoned entry healed"
 
-echo "== checkpoint smoke: run ocean, interrupt, resume, byte-compared =="
+echo "== checkpoint smoke: run ocean (default, dir-cgct, hier), interrupt, resume, byte-compared =="
 CGCT_JOBS=1 target/release/experiments run ocean --quick --seed 3 \
     > "$san_dir/full_run.json" 2> /dev/null
 CGCT_JOBS=1 target/release/experiments run ocean --quick --seed 3 \
@@ -216,7 +216,22 @@ cmp -s "$san_dir/full_run.json" "$san_dir/resumed_run.json" || {
     echo "resumed run differs from uninterrupted run"
     exit 1
 }
-echo "resumed run byte-identical to uninterrupted run"
+# The scale-out RCA machines keep derived state (the RCA-holder mask)
+# that a resume must rebuild; interrupt and resume each of them too.
+for mode in dir-cgct-512B hier-512B; do
+    CGCT_JOBS=1 target/release/experiments run ocean --quick --seed 3 --mode "$mode" \
+        > "$san_dir/full_$mode.json" 2> /dev/null
+    CGCT_JOBS=1 target/release/experiments run ocean --quick --seed 3 --mode "$mode" \
+        --checkpoint "$san_dir/ck_$mode.json" --checkpoint-every 3000 --stop-after 4 \
+        > /dev/null 2> /dev/null
+    CGCT_JOBS=1 target/release/experiments run --resume "$san_dir/ck_$mode.json" --quick \
+        --mode "$mode" > "$san_dir/resumed_$mode.json" 2> /dev/null
+    cmp -s "$san_dir/full_$mode.json" "$san_dir/resumed_$mode.json" || {
+        echo "resumed $mode run differs from uninterrupted run"
+        exit 1
+    }
+done
+echo "resumed runs byte-identical to uninterrupted runs"
 
 echo "== bench harness smoke (one command, quick) =="
 smoke_out="$(mktemp)"
