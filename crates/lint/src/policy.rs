@@ -68,6 +68,7 @@ pub const COHERENCE_PATH_FILES: &[&str] = &[
     "crates/system/src/machine.rs",
     "crates/system/src/oracle.rs",
     "crates/system/src/directory.rs",
+    "crates/system/src/invariants.rs",
 ];
 
 /// Whether D005 (float accumulation) applies to `rel`.
@@ -125,6 +126,8 @@ mod tests {
     fn coherence_paths() {
         assert!(is_coherence_path("crates/cache/src/protocol.rs"));
         assert!(is_coherence_path("crates/system/src/memsys.rs"));
+        // The invariant walk runs inside sanitized simulation cells.
+        assert!(is_coherence_path("crates/system/src/invariants.rs"));
         assert!(!is_coherence_path("crates/system/src/report.rs"));
         assert!(!is_coherence_path("crates/sim/src/json.rs"));
     }

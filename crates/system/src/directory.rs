@@ -15,11 +15,11 @@
 //! information may be stale after silent clean evictions, which only
 //! causes harmless extra invalidations (the standard full-map behaviour).
 
-use cgct_cache::{LineAddr, RegionAddr};
+use cgct_cache::{LineAddr, RegionAddr, ReqKind};
 use cgct_sim::hash::StableHashMap;
 
 /// One line's directory state at its home controller.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct DirEntry {
     /// Cache holding the line in an ownership state (E/M/O): data must be
     /// fetched from (or invalidated at) this cache, not memory.
@@ -38,6 +38,22 @@ impl DirEntry {
     /// Iterates the sharer ids set in the bit-vector.
     pub fn sharer_ids(&self) -> impl Iterator<Item = u8> + '_ {
         (0..64u8).filter(|i| self.sharers & (1 << i) != 0)
+    }
+
+    /// Node-presence mask: the sharer bits plus the owner's bit.
+    pub fn presence(&self) -> u64 {
+        let owner = self
+            .owner
+            .map_or(0, |o| 1u64.checked_shl(o.into()).unwrap_or(0));
+        self.sharers | owner
+    }
+
+    /// Whether the entry lists `node`, as owner or sharer.
+    pub fn lists(&self, node: usize) -> bool {
+        u32::try_from(node)
+            .ok()
+            .and_then(|n| 1u64.checked_shl(n))
+            .is_some_and(|bit| self.presence() & bit != 0)
     }
 }
 
@@ -76,6 +92,18 @@ pub enum DirRequest {
     Upgrade,
     /// Write a dirty line back to memory.
     Writeback,
+}
+
+impl From<ReqKind> for DirRequest {
+    /// The per-line directory request a coherence request maps to.
+    fn from(req: ReqKind) -> DirRequest {
+        match req {
+            ReqKind::Read | ReqKind::ReadShared => DirRequest::Read,
+            ReqKind::ReadExclusive | ReqKind::Dcbz => DirRequest::ReadExclusive,
+            ReqKind::Upgrade => DirRequest::Upgrade,
+            ReqKind::Writeback => DirRequest::Writeback,
+        }
+    }
 }
 
 /// The directory state for one memory controller's lines.
@@ -212,10 +240,7 @@ impl DirectoryController {
         let mut mask = 0u64;
         for line in lines {
             if let Some(e) = self.entries.get(&line.0) {
-                mask |= e.sharers;
-                if let Some(o) = e.owner {
-                    mask |= 1 << o;
-                }
+                mask |= e.presence();
             }
         }
         mask

@@ -33,6 +33,7 @@ pub mod config;
 pub mod directory;
 pub mod energy;
 pub mod experiments;
+pub mod invariants;
 pub mod machine;
 pub mod memsys;
 pub mod metrics;

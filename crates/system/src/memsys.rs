@@ -11,8 +11,9 @@
 
 use crate::config::{CoherenceMode, SystemConfig};
 use crate::directory::{
-    ClusterDirectory, DirAction, DirRequest, DirectoryController, RegionDirCache,
+    ClusterDirectory, DirAction, DirEntry, DirectoryController, RegionDirCache,
 };
+use crate::invariants::{self, LineCopy, RegionEntry, RegionView};
 use crate::metrics::{MemMetrics, RequestCategory};
 use crate::oracle::classify;
 use cgct::{
@@ -1590,8 +1591,7 @@ impl MemorySystem {
         let dist = self.topo.distance(core, mc);
         let category = RequestCategory::of(req);
         self.metrics.direct.record(category);
-        let (action, exclusive) =
-            self.directories[mc.0].handle(line, core.0 as u8, dir_request_of(req));
+        let (action, exclusive) = self.directories[mc.0].handle(line, core.0 as u8, req.into());
         self.refresh_region_dir_cache(mc, region);
         if req == ReqKind::Writeback {
             let _ = self.reserve_data_port(core, now);
@@ -2062,8 +2062,7 @@ impl MemorySystem {
                 // modeled as an update message off the critical path;
                 // the region claim guarantees it triggers no remote
                 // work (asserted below).
-                let (action, _) =
-                    self.directories[mc.0].handle(line, core.0 as u8, dir_request_of(req));
+                let (action, _) = self.directories[mc.0].handle(line, core.0 as u8, req.into());
                 self.refresh_region_dir_cache(mc, region);
                 self.assert_bypass_clean(core, req, line, &action);
                 self.complete_locally_request(core, now, req, line, region, mc, tid)
@@ -2365,278 +2364,35 @@ impl MemorySystem {
     }
 
     // ---------------------------------------------------------------
-    // Invariant checking (tests)
+    // Invariant checking
     // ---------------------------------------------------------------
 
-    /// Verifies the global coherence and inclusion invariants listed in
-    /// `DESIGN.md`.
+    /// Verifies the global coherence invariants I1–I6 ([`invariants`],
+    /// the set the model checker proves) over every region the machine
+    /// caches, tracks or summarizes, and the state only the live machine
+    /// derives: L1 inclusion, the region-directory caches' homes, the
+    /// region-line index, the RCA-holder mask and the cluster directory.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
-        use cgct_sim::hash::StableHashMap;
-        // 1. Line-grain: at most one M/E copy; M/O implies others I/S.
-        let mut line_states: StableHashMap<u64, Vec<(usize, MoesiState)>> =
-            StableHashMap::default();
-        for (n, node) in self.nodes.iter().enumerate() {
-            for (key, state) in node.l2.iter() {
-                line_states.entry(key).or_default().push((n, *state));
+        let held = |n: &Node| n.l2.len() + n.tracker.rca().map_or(0, |rca| rca.len());
+        let mut facts = Vec::with_capacity(self.nodes.iter().map(held).sum());
+        for (node, n) in self.nodes.iter().enumerate() {
+            let (l1d, l1i) = (n.l1d.iter().map(|e| e.0), n.l1i.iter().map(|e| e.0));
+            if let Some(key) = l1d.chain(l1i).find(|&key| !n.l2.contains(key)) {
+                return Err(format!("node {node}: L1 line {key:#x} not in L2"));
+            }
+            for (key, &state) in n.l2.iter() {
+                let (line, region) = (LineAddr(key), self.geom.region_of_line(LineAddr(key)));
+                facts.push((region, Fact::Copy(LineCopy { line, node, state })));
+            }
+            for (region, e) in n.tracker.rca().into_iter().flat_map(|rca| rca.iter()) {
+                let (state, count) = (e.state, e.line_count);
+                facts.push((region, Fact::Entry(RegionEntry { node, state, count })));
             }
         }
-        for (line, holders) in &line_states {
-            let writable = holders
-                .iter()
-                .filter(|(_, s)| s.can_silently_modify())
-                .count();
-            if writable > 1 {
-                return Err(format!("line {line:#x}: multiple M/E holders {holders:?}"));
-            }
-            if writable == 1 && holders.len() > 1 {
-                return Err(format!(
-                    "line {line:#x}: M/E alongside other copies {holders:?}"
-                ));
-            }
-            let dirty = holders.iter().filter(|(_, s)| s.is_dirty()).count();
-            if dirty > 1 {
-                return Err(format!("line {line:#x}: multiple dirty owners {holders:?}"));
-            }
-        }
-        // 2. L1 inclusion in L2.
-        for (n, node) in self.nodes.iter().enumerate() {
-            for (key, _) in node.l1d.iter() {
-                if !node.l2.contains(key) {
-                    return Err(format!("node {n}: L1D line {key:#x} not in L2"));
-                }
-            }
-            for (key, _) in node.l1i.iter() {
-                if !node.l2.contains(key) {
-                    return Err(format!("node {n}: L1I line {key:#x} not in L2"));
-                }
-            }
-        }
-        // 2b. Every node with a region tracker, and only those, keeps
-        //     the region->cached-lines reverse index, and it agrees with
-        //     the L2 re-derived the slow way (it is the hot-path source
-        //     of region line counts, so drift here corrupts results).
-        for (n, node) in self.nodes.iter().enumerate() {
-            let tracked = !matches!(node.tracker, Tracker::None);
-            let index = match (&node.lines, tracked) {
-                (Some(index), true) => index,
-                (None, false) => continue,
-                (Some(_), false) => {
-                    return Err(format!("node {n}: no region tracker but a line index"))
-                }
-                (None, true) => return Err(format!("node {n}: region tracker but no line index")),
-            };
-            let mut derived: StableHashMap<u64, (u32, u128)> = StableHashMap::default();
-            for (key, _) in node.l2.iter() {
-                let line = LineAddr(key);
-                let region = self.geom.region_of_line(line);
-                let e = derived.entry(region.0).or_insert((0, 0));
-                e.0 += 1;
-                if index.exact {
-                    e.1 |= 1u128 << self.geom.line_index_in_region(line);
-                }
-            }
-            if derived != index.map {
-                for (&region, &want) in &derived {
-                    let got = index.map.get(&region).copied().unwrap_or((0, 0));
-                    if got != want {
-                        return Err(format!(
-                            "node {n}: region index for {region:#x} is {got:?}, L2 says {want:?}"
-                        ));
-                    }
-                }
-                for &region in index.map.keys() {
-                    if !derived.contains_key(&region) {
-                        return Err(format!(
-                            "node {n}: region index has stale entry {region:#x}"
-                        ));
-                    }
-                }
-            }
-            for (region, &(count, _)) in &index.map {
-                let slow = node.count_region_lines_slow(self.geom, RegionAddr(*region));
-                if slow != count {
-                    return Err(format!(
-                        "node {n}: region {region:#x} indexed count {count} != slow walk {slow}"
-                    ));
-                }
-            }
-        }
-        // 3. RCA inclusion: counts match, every cached line covered.
-        for (n, node) in self.nodes.iter().enumerate() {
-            if let Some(rca) = node.tracker.rca() {
-                for (key, _) in node.l2.iter() {
-                    let region = self.geom.region_of_line(LineAddr(key));
-                    if rca.entry(region).is_none() {
-                        return Err(format!(
-                            "node {n}: cached line {key:#x} with no region entry {region}"
-                        ));
-                    }
-                }
-                for (region, entry) in rca.iter() {
-                    let actual = node.count_region_lines(self.geom, region);
-                    if actual != entry.line_count {
-                        return Err(format!(
-                            "node {n}: region {region} count {} but {actual} lines cached",
-                            entry.line_count
-                        ));
-                    }
-                }
-            }
-        }
-        // 3b. The RCA-holder mask: bit n is set exactly when node n's RCA
-        //     has an entry for the region, and no region maps to an
-        //     empty mask (the snoop loops skip every node off the mask).
-        if let Some(holders) = &self.holders {
-            for (&region, &mask) in &holders.map {
-                if mask == 0 {
-                    return Err(format!("holder mask for region {region:#x} is empty"));
-                }
-                for n in Visit::Mask(mask) {
-                    let held = self
-                        .nodes
-                        .get(n)
-                        .and_then(|node| node.tracker.rca())
-                        .is_some_and(|rca| rca.entry(RegionAddr(region)).is_some());
-                    if !held {
-                        return Err(format!(
-                            "holder mask for region {region:#x} names node {n}, \
-                             whose RCA has no entry"
-                        ));
-                    }
-                }
-            }
-            for (n, node) in self.nodes.iter().enumerate() {
-                for (region, _) in node.tracker.rca().into_iter().flat_map(|rca| rca.iter()) {
-                    if holders.mask(region) & 1 << n == 0 {
-                        return Err(format!(
-                            "node {n}: RCA entry for {region} missing from the holder mask"
-                        ));
-                    }
-                }
-            }
-        }
-        // 4. Region exclusivity: CI/DI on node A means no other node has
-        //    a valid entry for (or caches lines of) the region.
-        for (a, node_a) in self.nodes.iter().enumerate() {
-            let Some(rca_a) = node_a.tracker.rca() else {
-                continue;
-            };
-            for (region, entry) in rca_a.iter() {
-                if !entry.state.is_exclusive() {
-                    continue;
-                }
-                for (b, node_b) in self.nodes.iter().enumerate() {
-                    if a == b {
-                        continue;
-                    }
-                    if let Some(rca_b) = node_b.tracker.rca() {
-                        if rca_b.entry(region).is_some() {
-                            return Err(format!(
-                                "region {region}: node {a} exclusive ({}) but node {b} has entry",
-                                entry.state
-                            ));
-                        }
-                    }
-                    if node_b.count_region_lines(self.geom, region) > 0 {
-                        return Err(format!(
-                            "region {region}: node {a} exclusive but node {b} caches lines"
-                        ));
-                    }
-                }
-            }
-        }
-        // 5. Region-claim conservatism: a region state must never
-        //    under-report line states. A locally-clean entry (CI/CC/CD)
-        //    may only cover unmodified (S) lines, and an externally-clean
-        //    claim (CC/DC) means every *other* node's lines of the region
-        //    are S.
-        let mut nonshared: Vec<cgct_sim::hash::StableHashSet<u64>> =
-            Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            let mut set = cgct_sim::hash::StableHashSet::default();
-            for (key, state) in node.l2.iter() {
-                if *state != MoesiState::Shared {
-                    set.insert(self.geom.region_of_line(LineAddr(key)).0);
-                }
-            }
-            nonshared.push(set);
-        }
-        for (n, node) in self.nodes.iter().enumerate() {
-            let Some(rca) = node.tracker.rca() else {
-                continue;
-            };
-            for (region, entry) in rca.iter() {
-                if entry.state.local() == Some(cgct::LocalPart::Clean)
-                    && nonshared[n].contains(&region.0)
-                {
-                    return Err(format!(
-                        "node {n}: region {region} locally clean ({}) but holds \
-                         modified/modifiable lines",
-                        entry.state
-                    ));
-                }
-                if entry.state.is_externally_clean() {
-                    for (b, remote) in nonshared.iter().enumerate() {
-                        if b != n && remote.contains(&region.0) {
-                            return Err(format!(
-                                "region {region}: node {n} claims {} (externally clean) \
-                                 but node {b} holds modified/modifiable lines",
-                                entry.state
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        // 6. Snoop-response consistency: the region snoop response a node
-        //    would drive on the bus (derived from its entry's local half)
-        //    must describe its actual cache contents — answering
-        //    Region-Clean while holding an M/O/E line would let another
-        //    processor's region state go stale.
-        for (n, node) in self.nodes.iter().enumerate() {
-            let Some(rca) = node.tracker.rca() else {
-                continue;
-            };
-            for (region, entry) in rca.iter() {
-                let r = RegionSnoopResponse::from_local_state(entry.state);
-                if !r.dirty && nonshared[n].contains(&region.0) {
-                    return Err(format!(
-                        "node {n}: region {region} would answer Region-Clean ({}) \
-                         but holds modified/modifiable lines",
-                        entry.state
-                    ));
-                }
-            }
-        }
-        // 7. Directory conservatism (directory modes): every node
-        //    holding a valid L2 copy of a line appears in the home
-        //    directory's entry for it — skipping the lookup on a
-        //    "nobody else" answer is only sound if the directory never
-        //    under-reports holders.
-        if self.cfg.mode.uses_directory() {
-            for (line, holders) in &line_states {
-                let line = LineAddr(*line);
-                let mc = self.topo.mc_of_line(line, self.geom);
-                let entry = self.directories[mc.0].entry(line);
-                for (n, _) in holders {
-                    if entry.owner != Some(*n as u8) && entry.sharers & (1u64 << *n) == 0 {
-                        return Err(format!(
-                            "line {line}: node {n} holds a copy but the home directory \
-                             entry (owner {:?}, sharers {:#x}) does not list it",
-                            entry.owner, entry.sharers
-                        ));
-                    }
-                }
-            }
-        }
-        // 7b. Region-grain directory cache exactness (DirectoryCgct):
-        //     every cached mask equals the union of the directory's
-        //     per-line entries — a hit is authoritative, so any drift
-        //     makes the lookup bypass unsound.
         for (m, cache) in self.region_dir_caches.iter().enumerate() {
             for (region, mask) in cache.entries() {
                 if self.topo.mc_of_region(region).0 != m {
@@ -2644,47 +2400,132 @@ impl MemorySystem {
                         "mc{m}: region directory cache holds foreign region {region}"
                     ));
                 }
-                let truth = self.directories[m].region_mask(self.geom.lines_in_region(region));
-                if mask != truth {
+                facts.push((region, Fact::DirCache(mask)));
+            }
+        }
+        // Region by region: entries by node, the cache mask, then copies
+        // by line and node.
+        let rank = |fact: &Fact| match *fact {
+            Fact::Entry(e) => (0, LineAddr(0), e.node),
+            Fact::DirCache(_) => (1, LineAddr(0), 0),
+            Fact::Copy(c) => (2, c.line, c.node),
+        };
+        facts.sort_unstable_by_key(|&(region, _)| region);
+        for run in facts.chunk_by_mut(|a, b| a.0 == b.0) {
+            run.sort_unstable_by_key(|(_, fact)| rank(fact));
+        }
+        let regions: Vec<_> = facts
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|facts| LiveRegion {
+                mem: self,
+                region: facts[0].0,
+                facts,
+            })
+            .collect();
+        invariants::check(&regions)?;
+        self.check_region_line_index(&regions)?;
+        self.check_holder_mask(&regions)?;
+        self.check_cluster_directory(&regions)
+    }
+
+    /// Every node with a region tracker, and only those, keeps the
+    /// region->cached-lines reverse index, and it agrees with the L2 (it
+    /// is the hot-path source of region line counts, so drift here
+    /// corrupts results): each indexed region's count and line mask
+    /// match the node's copies, and the counts add up to the whole L2.
+    fn check_region_line_index(&self, regions: &[LiveRegion<'_>]) -> Result<(), String> {
+        for (n, node) in self.nodes.iter().enumerate() {
+            let index = match (&node.lines, matches!(node.tracker, Tracker::None)) {
+                (Some(index), false) => index,
+                (None, true) => continue,
+                (Some(_), true) => return Err(format!("node {n}: a line index but no tracker")),
+                (None, false) => return Err(format!("node {n}: a tracker but no line index")),
+            };
+            let mut indexed = 0;
+            for (&region, &got) in &index.map {
+                let at = regions.binary_search_by_key(&region, |r| r.region.0);
+                let copies = at.into_iter().flat_map(|i| regions[i].copies());
+                let want = copies
+                    .filter(|c| c.node == n)
+                    .fold((0, 0), |(count, mask), c| {
+                        let at = self.geom.line_index_in_region(c.line);
+                        let bit = if index.exact { 1u128 << at } else { 0 };
+                        (count + 1, mask | bit)
+                    });
+                if got != want {
                     return Err(format!(
-                        "mc{m}: region directory cache mask {mask:#x} for {region} \
-                         but the per-line directory says {truth:#x}"
+                        "node {n}: region index for {region:#x} is {got:?}, L2 says {want:?}"
+                    ));
+                }
+                indexed += got.0 as usize;
+            }
+            if indexed != node.l2.len() {
+                let held = node.l2.len();
+                return Err(format!(
+                    "node {n}: region index covers {indexed} of {held} L2 lines"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// The RCA-holder mask: bit n is set exactly when node n's RCA has
+    /// an entry for the region, and it lists no other region (the snoop
+    /// loops skip every node off the mask).
+    fn check_holder_mask(&self, regions: &[LiveRegion<'_>]) -> Result<(), String> {
+        let Some(holders) = &self.holders else {
+            return Ok(());
+        };
+        let held = regions.iter().filter(|r| r.entries().next().is_some());
+        for r in held.clone() {
+            let want = r.entries().fold(0, |mask, e| mask | 1 << e.node);
+            let got = holders.mask(r.region);
+            if got != want {
+                return Err(format!(
+                    "holder mask for region {} is {got:#b} but the RCAs hold {want:#b}",
+                    r.region
+                ));
+            }
+        }
+        let (listed, held) = (holders.map.len(), held.count());
+        if listed != held {
+            return Err(format!(
+                "holder mask lists {listed} region(s) but the RCAs hold {held}"
+            ));
+        }
+        Ok(())
+    }
+
+    /// Inter-cluster region directory exactness (Hierarchical):
+    /// per-cluster line counts match the caches exactly, and no stale
+    /// rows linger — an over-count only costs a wasted cluster visit,
+    /// but an under-count skips a required snoop.
+    fn check_cluster_directory(&self, regions: &[LiveRegion<'_>]) -> Result<(), String> {
+        let Some(dir) = &self.cluster_dir else {
+            return Ok(());
+        };
+        let mut cached = 0;
+        for r in regions.iter().filter(|r| r.copies().next().is_some()) {
+            cached += 1;
+            for c in 0..dir.clusters() {
+                let copies = r
+                    .copies()
+                    .filter(|l| self.topo.cluster_of(CoreId(l.node)) == c);
+                let (got, want) = (dir.count(r.region, c), copies.count() as u32);
+                if got != want {
+                    return Err(format!(
+                        "cluster directory: region {} cluster {c} count {got} but the \
+                         caches hold {want} line(s)",
+                        r.region
                     ));
                 }
             }
         }
-        // 8. Inter-cluster region directory exactness (Hierarchical):
-        //    per-cluster line counts match the caches exactly, and no
-        //    stale rows linger — an over-count only costs a wasted
-        //    cluster visit, but an under-count skips a required snoop.
-        if let Some(dir) = &self.cluster_dir {
-            let mut truth: StableHashMap<u64, Vec<u32>> = StableHashMap::default();
-            for (n, node) in self.nodes.iter().enumerate() {
-                let cluster = self.topo.cluster_of(CoreId(n));
-                for (region, &(count, _)) in node.lines.iter().flat_map(|index| &index.map) {
-                    truth
-                        .entry(*region)
-                        .or_insert_with(|| vec![0; dir.clusters()])[cluster] += count;
-                }
-            }
-            for (&region, counts) in &truth {
-                for (c, &want) in counts.iter().enumerate() {
-                    let got = dir.count(RegionAddr(region), c);
-                    if got != want {
-                        return Err(format!(
-                            "cluster directory: region {region:#x} cluster {c} \
-                             count {got} but the caches hold {want} line(s)"
-                        ));
-                    }
-                }
-            }
-            if dir.tracked_regions() != truth.len() {
-                return Err(format!(
-                    "cluster directory tracks {} region(s) but the caches cover {}",
-                    dir.tracked_regions(),
-                    truth.len()
-                ));
-            }
+        if dir.tracked_regions() != cached {
+            return Err(format!(
+                "cluster directory tracks {} region(s) but the caches cover {cached}",
+                dir.tracked_regions()
+            ));
         }
         Ok(())
     }
@@ -2714,41 +2555,31 @@ impl MemorySystem {
         if req == ReqKind::Writeback {
             return None;
         }
-        let mut resp = LineSnoopResponse::default();
-        for (i, node) in self.nodes.iter().enumerate() {
-            if i == core.0 {
-                continue;
-            }
-            let state = node.l2.get(line.0).copied().unwrap_or(MoesiState::Invalid);
-            resp.merge(LineSnoopResponse {
-                shared: state.is_valid(),
-                dirty: state.is_dirty(),
-                exclusive: state == MoesiState::Exclusive,
-            });
-        }
+        let copies = self.nodes.iter().enumerate().filter_map(|(node, n)| {
+            let &state = n.l2.get(line.0)?;
+            Some(LineCopy { line, node, state })
+        });
+        let resp = invariants::remote_response(core.0, copies);
         if !cgct_cache::broadcast_unnecessary(req, resp) {
             return Some(format!(
                 "unsafe bypass: core {core} {req:?} line {line} with external {resp:?}"
             ));
         }
         let region = self.geom.region_of_line(line);
-        if let Some(rca) = self.nodes[core.0].tracker.rca() {
-            if rca.state(region).is_exclusive() {
-                for (i, node) in self.nodes.iter().enumerate() {
-                    if i == core.0 {
-                        continue;
-                    }
-                    let cached = node.count_region_lines(self.geom, region);
-                    if cached > 0 {
-                        return Some(format!(
-                            "stale exclusive claim: core {core} holds region {region} \
-                             exclusive but node {i} caches {cached} line(s) of it"
-                        ));
-                    }
-                }
-            }
+        let claim = self.nodes[core.0].tracker.region_state(region);
+        if !claim.is_some_and(|s| s.is_exclusive()) {
+            return None;
         }
-        None
+        let cached = |n: &Node| n.count_region_lines(self.geom, region);
+        let mut others = (0..)
+            .zip(&self.nodes)
+            .filter(|&(i, n)| i != core.0 && cached(n) > 0);
+        let (i, node) = others.next()?;
+        Some(format!(
+            "stale exclusive claim: core {core} holds region {region} \
+             exclusive but node {i} caches {} line(s) of it",
+            cached(node)
+        ))
     }
 
     /// Test/inspection helper: the MOESI state of `line` at node `core`.
@@ -2775,13 +2606,67 @@ enum RegionUpkeep {
     FullExternal,
 }
 
-/// The per-line directory request a coherence request maps to.
-fn dir_request_of(req: ReqKind) -> DirRequest {
-    match req {
-        ReqKind::Read | ReqKind::ReadShared => DirRequest::Read,
-        ReqKind::ReadExclusive | ReqKind::Dcbz => DirRequest::ReadExclusive,
-        ReqKind::Upgrade => DirRequest::Upgrade,
-        ReqKind::Writeback => DirRequest::Writeback,
+/// One fact about a region of the live machine.
+#[derive(Clone, Copy)]
+enum Fact {
+    Entry(RegionEntry),
+    DirCache(u64),
+    /// An L2 line (an L2 keeps only valid lines).
+    Copy(LineCopy),
+}
+
+/// One region of the live machine, as the shared invariants read it:
+/// its run of the machine-wide fact list, sorted by
+/// [`MemorySystem::check_invariants`].
+struct LiveRegion<'a> {
+    mem: &'a MemorySystem,
+    region: RegionAddr,
+    facts: &'a [(RegionAddr, Fact)],
+}
+
+impl RegionView for LiveRegion<'_> {
+    fn copies(&self) -> impl Iterator<Item = LineCopy> + '_ {
+        self.facts.iter().filter_map(|&(_, f)| match f {
+            Fact::Copy(c) => Some(c),
+            _ => None,
+        })
+    }
+
+    fn entries(&self) -> impl Iterator<Item = RegionEntry> + '_ {
+        self.facts.iter().map_while(|&(_, f)| match f {
+            Fact::Entry(e) => Some(e),
+            _ => None,
+        })
+    }
+
+    fn tracks_regions(&self) -> bool {
+        // Every node of a machine carries the same kind of tracker.
+        let first = self.mem.nodes.first();
+        first.is_some_and(|n| n.tracker.rca().is_some())
+    }
+
+    fn home(&self, line: LineAddr) -> Option<DirEntry> {
+        let mem = self.mem;
+        if !mem.cfg.mode.uses_directory() {
+            return None;
+        }
+        let mc = mem.topo.mc_of_line(line, mem.geom);
+        mem.directories.get(mc.0).map(|dir| dir.entry(line))
+    }
+
+    fn dir_cache_mask(&self) -> Option<u64> {
+        self.facts.iter().find_map(|&(_, f)| match f {
+            Fact::DirCache(mask) => Some(mask),
+            _ => None,
+        })
+    }
+
+    fn home_entries(&self) -> impl Iterator<Item = DirEntry> + '_ {
+        let mem = self.mem;
+        let dir = mem.directories.get(mem.topo.mc_of_region(self.region).0);
+        mem.geom
+            .lines_in_region(self.region)
+            .filter_map(move |line| dir.map(|dir| dir.entry(line)))
     }
 }
 
@@ -2856,14 +2741,75 @@ mod tests {
             err
         };
         let err = drift(&mut m, &|h| h.add(region, 1));
-        assert!(err.contains("names node 1"), "{err}");
+        assert!(err.contains("is 0b11 but the RCAs hold 0b1"), "{err}");
         let err = drift(&mut m, &|h| h.remove(region, C0.0));
-        assert!(err.contains("missing from the holder mask"), "{err}");
+        assert!(err.contains("is 0b0 but the RCAs hold 0b1"), "{err}");
         let err = drift(&mut m, &|h| {
             h.map.insert(region.0 + 1, 0);
         });
-        assert!(err.contains("is empty"), "{err}");
+        assert!(
+            err.contains("lists 2 region(s) but the RCAs hold 1"),
+            "{err}"
+        );
         m.check_invariants().unwrap();
+    }
+
+    /// Each corruption of live state is caught by the shared invariant
+    /// it breaks, under that invariant's label.
+    #[test]
+    fn invariant_walk_labels_each_corruption() {
+        // Both cores share line `a` (C0 owns it, O); C0 alone holds `b`
+        // of the same region, M.
+        let (a, b) = (Addr(0x4000), Addr(0x4040));
+        let (line, private) = (LineAddr(a.0 / 64), LineAddr(b.0 / 64));
+        let corrupted = |cfg: SystemConfig, edit: &dyn Fn(&mut MemorySystem)| {
+            let mut m = MemorySystem::new(cfg, 1);
+            m.load(C0, Cycle(0), a, false);
+            m.load(C1, Cycle(1000), a, false);
+            m.store(C0, Cycle(2000), a);
+            m.load(C1, Cycle(3000), a, false);
+            m.store(C0, Cycle(4000), b);
+            assert_eq!(m.l2_state(C0, private), MoesiState::Modified);
+            m.check_invariants().unwrap();
+            edit(&mut m);
+            m.check_invariants().unwrap_err()
+        };
+        let label = |err: String, want: &str| assert!(err.starts_with(want), "{err}");
+        // A second M holder of a shared line.
+        let err = corrupted(cgct_cfg(), &|m| {
+            for core in [C0, C1] {
+                *m.nodes[core.0].l2.get_mut(line.0).unwrap() = MoesiState::Modified;
+            }
+        });
+        label(err, "I1:");
+        // An RCA line count that no longer matches the L2.
+        let err = corrupted(cgct_cfg(), &|m| {
+            let region = m.geom.region_of_line(line);
+            if let Tracker::Rca(rca) = &mut m.nodes[C1.0].tracker {
+                rca.line_cached(region);
+            }
+        });
+        label(err, "I3:");
+        // An M holder the home lists only as a sharer.
+        let err = corrupted(dir_cgct_cfg(), &|m| {
+            let mc = m.topo.mc_of_line(private, m.geom);
+            let entry = DirEntry {
+                owner: None,
+                sharers: 1 << C0.0,
+            };
+            m.directories[mc.0].install_entry(private, entry);
+        });
+        assert!(
+            err.starts_with("I6:") && err.contains("records owner"),
+            "{err}"
+        );
+        // A region-directory-cache mask the line entries no longer back.
+        let err = corrupted(dir_cgct_cfg(), &|m| {
+            let region = m.geom.region_of_line(line);
+            let mc = m.topo.mc_of_region(region);
+            m.region_dir_caches[mc.0].update(region, 1 << 3);
+        });
+        assert!(err.starts_with("I6:") && err.contains("mask"), "{err}");
     }
 
     #[test]

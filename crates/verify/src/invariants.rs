@@ -1,24 +1,14 @@
 //! The global safety invariants checked at every explored state.
 //!
-//! Each invariant carries its paper grounding (Cantin, Lipasti, Smith —
-//! ISCA 2005); `DESIGN.md`'s "Invariants & verification" section lists
-//! the same set. The runtime sanitizer in `cgct-system` re-checks the
-//! identical properties against the live machine.
+//! I1–I6 are written once, in [`cgct_system::invariants`]; the runtime
+//! sanitizer of `cgct-system` checks the same code against the live
+//! machine. Here the model's global state — one region of `L` lines,
+//! line `l` being `LineAddr(l)` — is a [`RegionView`] of its own.
 
 use crate::model::GlobalState;
-use cgct::{LocalPart, RegionPermission, RegionSnoopResponse};
-use cgct_cache::{broadcast_unnecessary, LineSnoopResponse, MoesiState, ReqKind};
-
-/// All request kinds a region permission can rule on (write-backs are
-/// checked too: they are trivially safe but must stay so).
-const ALL_REQS: [ReqKind; 6] = [
-    ReqKind::Read,
-    ReqKind::ReadShared,
-    ReqKind::ReadExclusive,
-    ReqKind::Upgrade,
-    ReqKind::Dcbz,
-    ReqKind::Writeback,
-];
+use cgct_cache::LineAddr;
+use cgct_system::directory::DirEntry;
+use cgct_system::invariants::{LineCopy, RegionEntry, RegionView};
 
 /// Checks every invariant on `state`; returns the first violation.
 ///
@@ -26,267 +16,60 @@ const ALL_REQS: [ReqKind; 6] = [
 ///
 /// Returns a human-readable description of the violated invariant.
 pub fn check(state: &GlobalState) -> Result<(), String> {
-    single_writer_multiple_reader(state)?;
-    region_conservatism(state)?;
-    inclusion_and_counts(state)?;
-    snoop_response_consistency(state)?;
-    permission_oracle_soundness(state)?;
-    directory_integrity(state)?;
-    Ok(())
+    cgct_system::invariants::check(std::slice::from_ref(state))
 }
 
-/// I1 — Single writer, multiple readers (MOESI base protocol; the
-/// property CGCT must preserve, §1: "without violating coherence").
-/// Per line: at most one M/E copy, an M/E copy is the only copy, and at
-/// most one dirty owner (M/O) exists.
-pub fn single_writer_multiple_reader(state: &GlobalState) -> Result<(), String> {
-    let lines = state.nodes[0].lines.len();
-    for line in 0..lines {
-        let holders: Vec<(usize, MoesiState)> = state
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.lines[line].is_valid())
-            .map(|(i, n)| (i, n.lines[line]))
-            .collect();
-        let writable = holders
-            .iter()
-            .filter(|(_, s)| s.can_silently_modify())
-            .count();
-        if writable > 1 {
-            return Err(format!(
-                "I1: line {line} has multiple M/E holders {holders:?}"
-            ));
-        }
-        if writable == 1 && holders.len() > 1 {
-            return Err(format!(
-                "I1: line {line} has M/E alongside other copies {holders:?}"
-            ));
-        }
-        let owners = holders.iter().filter(|(_, s)| s.is_dirty()).count();
-        if owners > 1 {
-            return Err(format!("I1: line {line} has multiple owners {holders:?}"));
-        }
+impl RegionView for GlobalState {
+    fn copies(&self) -> impl Iterator<Item = LineCopy> + '_ {
+        // Line by line, node by node.
+        let (mut l, mut node) = (0, 0);
+        std::iter::from_fn(move || loop {
+            if node == self.nodes.len() {
+                (l, node) = (l + 1, 0);
+            }
+            let state = *self.nodes.get(node)?.lines.get(l)?;
+            node += 1;
+            if state.is_valid() {
+                let (line, node) = (LineAddr(l as u64), node - 1);
+                return Some(LineCopy { line, node, state });
+            }
+        })
     }
-    Ok(())
-}
 
-/// I2 — Region-state conservatism (Table 1's state meanings): a region
-/// state must never *under-report* what other processors hold.
-/// External Invalid ⇒ no other node has an entry or cached lines;
-/// external Clean ⇒ other nodes hold only unmodified (S) lines; local
-/// Clean ⇒ the node's own lines are all S.
-pub fn region_conservatism(state: &GlobalState) -> Result<(), String> {
-    for (a, node_a) in state.nodes.iter().enumerate() {
-        if !node_a.region.is_valid() {
-            continue;
-        }
-        if node_a.region.local() == Some(LocalPart::Clean) {
-            for (l, &s) in node_a.lines.iter().enumerate() {
-                if s.is_valid() && s != MoesiState::Shared {
-                    return Err(format!(
-                        "I2: node {a} region {} (locally clean) holds line {l} in {s}",
-                        node_a.region
-                    ));
-                }
-            }
-        }
-        if node_a.region.is_exclusive() {
-            for (b, node_b) in state.nodes.iter().enumerate() {
-                if a == b {
-                    continue;
-                }
-                if node_b.region.is_valid() {
-                    return Err(format!(
-                        "I2: node {a} claims {} but node {b} has entry {}",
-                        node_a.region, node_b.region
-                    ));
-                }
-                if node_b.cached_lines() > 0 {
-                    return Err(format!(
-                        "I2: node {a} claims {} but node {b} caches {} line(s)",
-                        node_a.region,
-                        node_b.cached_lines()
-                    ));
-                }
-            }
-        }
-        if node_a.region.is_externally_clean() {
-            for (b, node_b) in state.nodes.iter().enumerate() {
-                if a == b {
-                    continue;
-                }
-                for (l, &s) in node_b.lines.iter().enumerate() {
-                    if s.is_valid() && s != MoesiState::Shared {
-                        return Err(format!(
-                            "I2: node {a} claims {} (externally clean) but node {b} \
-                             holds line {l} in {s}",
-                            node_a.region
-                        ));
-                    }
-                }
-            }
-        }
+    fn entries(&self) -> impl Iterator<Item = RegionEntry> + '_ {
+        let valid = (0..).zip(&self.nodes).filter(|(_, n)| n.region.is_valid());
+        valid.map(|(node, n)| {
+            let (state, count) = (n.region, n.line_count);
+            RegionEntry { node, state, count }
+        })
     }
-    Ok(())
-}
 
-/// I3 — RCA/L2 inclusion with exact counts (§3.2): every cached line is
-/// covered by a valid region entry, and the entry's line count equals
-/// the number of lines actually cached.
-pub fn inclusion_and_counts(state: &GlobalState) -> Result<(), String> {
-    for (i, node) in state.nodes.iter().enumerate() {
-        let actual = node.cached_lines();
-        if !node.region.is_valid() {
-            if actual != 0 {
-                return Err(format!(
-                    "I3: node {i} caches {actual} line(s) with no region entry"
-                ));
-            }
-            if node.line_count != 0 {
-                return Err(format!(
-                    "I3: node {i} has no entry but a line count of {}",
-                    node.line_count
-                ));
-            }
-            continue;
-        }
-        if node.line_count != actual {
-            return Err(format!(
-                "I3: node {i} entry counts {} line(s) but {actual} are cached",
-                node.line_count
-            ));
-        }
+    fn tracks_regions(&self) -> bool {
+        true
     }
-    Ok(())
-}
 
-/// I4 — Snoop-response consistency (§3.4): the contribution a node's
-/// region state would put on the bus (via
-/// [`RegionSnoopResponse::from_local_state`]) must describe its actual
-/// cache contents. Not asserting Region Dirty means holding no M/O/E
-/// lines; asserting nothing means holding no lines at all.
-pub fn snoop_response_consistency(state: &GlobalState) -> Result<(), String> {
-    for (i, node) in state.nodes.iter().enumerate() {
-        let r = RegionSnoopResponse::from_local_state(node.region);
-        if !r.any() && node.cached_lines() > 0 {
-            return Err(format!(
-                "I4: node {i} would answer no-copies yet caches {} line(s)",
-                node.cached_lines()
-            ));
-        }
-        if !r.dirty {
-            for (l, &s) in node.lines.iter().enumerate() {
-                if s.is_valid() && s != MoesiState::Shared {
-                    return Err(format!(
-                        "I4: node {i} would answer Region-Clean yet holds line {l} in {s}"
-                    ));
-                }
-            }
-        }
+    fn home(&self, line: LineAddr) -> Option<DirEntry> {
+        self.home.as_ref()?.lines.get(line.0 as usize).copied()
     }
-    Ok(())
-}
 
-/// I5 — Permission oracle soundness (§3, Table 2): whenever a region
-/// state lets a request skip the broadcast (direct-to-memory or
-/// complete-locally), the oracle rule of Figure 2 — evaluated on the
-/// *actual* remote line states — must agree the broadcast is
-/// unnecessary. This is the paper's central safety claim.
-pub fn permission_oracle_soundness(state: &GlobalState) -> Result<(), String> {
-    let lines = state.nodes[0].lines.len();
-    for (a, node_a) in state.nodes.iter().enumerate() {
-        for req in ALL_REQS {
-            if node_a.region.permission(req) == RegionPermission::Broadcast {
-                continue;
-            }
-            for line in 0..lines {
-                let mut resp = LineSnoopResponse::default();
-                for (b, node_b) in state.nodes.iter().enumerate() {
-                    if a == b {
-                        continue;
-                    }
-                    let s = node_b.lines[line];
-                    resp.merge(LineSnoopResponse {
-                        shared: s.is_valid(),
-                        dirty: s.is_dirty(),
-                        exclusive: s == MoesiState::Exclusive,
-                    });
-                }
-                if !broadcast_unnecessary(req, resp) {
-                    return Err(format!(
-                        "I5: node {a} region {} permits {req:?} without broadcast, \
-                         but line {line} has remote state {resp:?}",
-                        node_a.region
-                    ));
-                }
-            }
-        }
+    fn dir_cache_mask(&self) -> Option<u64> {
+        self.home.as_ref()?.cache_mask.map(u64::from)
     }
-    Ok(())
-}
 
-/// I6 — Home-directory integrity (directory machine only; §1.2 and the
-/// full-map invariant the lookup bypass rests on). (a) Conservatism:
-/// every valid cached copy of a line is listed at the home, as owner or
-/// sharer — the dual of I2, at line grain. Stale *extra* bits from
-/// silent clean evictions are allowed (they cost only harmless
-/// invalidations); missing bits would let the directory skip a cache
-/// that holds data. (b) Ownership: an M/O/E holder must be the recorded
-/// owner. (c) Region-cache exactness: the region-grain directory cache,
-/// once installed, must equal the union of the per-line entries it
-/// summarizes — the bypass decision reads this mask, so any drift is a
-/// safety hole, not a performance bug.
-pub fn directory_integrity(state: &GlobalState) -> Result<(), String> {
-    let Some(home) = &state.home else {
-        return Ok(());
-    };
-    for (line, entry) in home.lines.iter().enumerate() {
-        for (n, node) in state.nodes.iter().enumerate() {
-            let s = node.lines[line];
-            if !s.is_valid() {
-                continue;
-            }
-            let listed = entry.owner == Some(n as u8) || entry.sharers & (1u8 << n) != 0;
-            if !listed {
-                return Err(format!(
-                    "I6: node {n} holds line {line} in {s} but the home entry \
-                     (owner {:?}, sharers {:#b}) does not list it",
-                    entry.owner, entry.sharers
-                ));
-            }
-            if (s.can_silently_modify() || s.is_dirty()) && entry.owner != Some(n as u8) {
-                return Err(format!(
-                    "I6: node {n} holds line {line} in {s} but the home \
-                     records owner {:?}",
-                    entry.owner
-                ));
-            }
-        }
+    fn home_entries(&self) -> impl Iterator<Item = DirEntry> + '_ {
+        self.home.iter().flat_map(|home| home.lines.iter().copied())
     }
-    if let Some(mask) = home.cache_mask {
-        let mut union: u8 = 0;
-        for entry in &home.lines {
-            union |= entry.sharers;
-            if let Some(o) = entry.owner {
-                union |= 1 << o;
-            }
-        }
-        if mask != union {
-            return Err(format!(
-                "I6: region directory cache mask {mask:#b} != union of \
-                 per-line entries {union:#b}"
-            ));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{GlobalState, HomeState, LineDir, ModelConfig, NodeState};
+    use crate::model::{HomeState, ModelConfig, NodeState};
     use cgct::RegionState;
+    use cgct_cache::MoesiState;
+    use cgct_system::invariants::{
+        directory_integrity, permission_oracle_soundness, snoop_response_consistency,
+    };
 
     fn node(lines: Vec<MoesiState>, region: RegionState, count: u32) -> NodeState {
         NodeState {
@@ -415,11 +198,11 @@ mod tests {
             ],
             home: Some(HomeState {
                 lines: vec![
-                    LineDir {
+                    DirEntry {
                         owner: Some(0),
                         sharers: 0,
                     },
-                    LineDir::default(),
+                    DirEntry::default(),
                 ],
                 cache_mask: Some(0b01),
             }),
@@ -443,11 +226,11 @@ mod tests {
             ],
             home: Some(HomeState {
                 lines: vec![
-                    LineDir {
+                    DirEntry {
                         owner: Some(0),
                         sharers: 0b10,
                     },
-                    LineDir::default(),
+                    DirEntry::default(),
                 ],
                 cache_mask: Some(0b11),
             }),
@@ -472,11 +255,11 @@ mod tests {
             ],
             home: Some(HomeState {
                 lines: vec![
-                    LineDir {
+                    DirEntry {
                         owner: Some(1),
                         sharers: 0,
                     },
-                    LineDir::default(),
+                    DirEntry::default(),
                 ],
                 cache_mask: Some(0b01),
             }),
@@ -498,11 +281,11 @@ mod tests {
             ],
             home: Some(HomeState {
                 lines: vec![
-                    LineDir {
+                    DirEntry {
                         owner: Some(1),
                         sharers: 0b01,
                     },
-                    LineDir::default(),
+                    DirEntry::default(),
                 ],
                 cache_mask: Some(0b11),
             }),

@@ -16,14 +16,16 @@
 //! * [`model`] — the abstract machine, its events, and the bridge that
 //!   drives the production transition functions (plus deliberate
 //!   [`model::Mutation`]s for checker self-tests);
-//! * [`invariants`] — the safety properties (single-writer,
+//! * [`invariants`] — the safety properties I1–I6 (single-writer,
 //!   region-state conservatism, RCA/L2 inclusion, snoop-response
-//!   consistency, permission-oracle soundness);
+//!   consistency, permission-oracle soundness, directory integrity),
+//!   written once in `cgct_system::invariants` and read here through
+//!   the model state's view;
 //! * [`checker`] — breadth-first exploration with exact-state dedup and
 //!   shortest-path counterexample traces.
 //!
 //! The `cgct-verify` binary wraps [`checker::explore`] for CI; the
-//! runtime sanitizer in `cgct-system` re-checks the same invariants on
+//! runtime sanitizer in `cgct-system` runs the same invariant code on
 //! live simulations (`CGCT_SANITIZE=1`).
 //!
 //! # Examples

@@ -31,7 +31,7 @@ use cgct_cache::{
     requester_next_state, snoop_line, Geometry, LineAddr, LineSnoopResponse, MoesiState,
     RegionAddr, ReqKind,
 };
-use cgct_system::directory::{DirAction, DirEntry, DirRequest, DirectoryController};
+use cgct_system::directory::{DirAction, DirEntry, DirectoryController};
 use std::fmt;
 
 /// The single region every model run revolves around.
@@ -307,25 +307,15 @@ impl NodeState {
     }
 }
 
-/// One line's full-map entry at the home controller, in abstract form
-/// (the working machine reconstructs a real
-/// [`DirectoryController`] from these).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub struct LineDir {
-    /// Cache recorded as holding the line in an ownership state.
-    pub owner: Option<u8>,
-    /// Sharer bit-vector (may over-approximate after silent clean
-    /// evictions — the standard full-map conservatism).
-    pub sharers: u8,
-}
-
 /// The home memory controller's state under
 /// [`Protocol::DirectoryCgct`]: the per-line full-map entries plus the
 /// region-grain directory cache's node-presence mask.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct HomeState {
-    /// Per-line directory entries, indexed like the nodes' line vectors.
-    pub lines: Vec<LineDir>,
+    /// Per-line directory entries, indexed like the nodes' line vectors
+    /// (the working machine installs them into a real
+    /// [`DirectoryController`]).
+    pub lines: Vec<DirEntry>,
     /// The region directory cache's mask (`None` = not cached yet).
     pub cache_mask: Option<u8>,
 }
@@ -353,7 +343,7 @@ impl GlobalState {
                 })
                 .collect(),
             home: (cfg.protocol == Protocol::DirectoryCgct).then(|| HomeState {
-                lines: vec![LineDir::default(); cfg.lines],
+                lines: vec![DirEntry::default(); cfg.lines],
                 cache_mask: None,
             }),
         }
@@ -408,7 +398,7 @@ impl KeyPacker {
         self.push(COUNT_BITS, line_count as u128);
     }
 
-    fn home_line(&mut self, entry: LineDir) {
+    fn home_line(&mut self, entry: DirEntry) {
         self.push(OWNER_BITS, entry.owner.map_or(0, |o| o as u128 + 1));
         self.push(SHARER_BITS, entry.sharers as u128);
     }
@@ -624,24 +614,9 @@ impl Clone for HomeDir {
 }
 
 impl HomeDir {
-    /// The entry for `line` in abstract form.
-    fn line(&self, line: usize) -> LineDir {
-        let e = self.dir.entry(LineAddr(line as u64));
-        LineDir {
-            owner: e.owner,
-            sharers: e.sharers as u8,
-        }
-    }
-}
-
-/// Maps a processor request onto the directory request vocabulary, the
-/// same classification `MemorySystem::directory_request` performs.
-fn dir_request_of(req: ReqKind) -> DirRequest {
-    match req {
-        ReqKind::Read | ReqKind::ReadShared => DirRequest::Read,
-        ReqKind::ReadExclusive | ReqKind::Dcbz => DirRequest::ReadExclusive,
-        ReqKind::Upgrade => DirRequest::Upgrade,
-        ReqKind::Writeback => DirRequest::Writeback,
+    /// The entry for `line`.
+    fn line(&self, line: usize) -> DirEntry {
+        self.dir.entry(LineAddr(line as u64))
     }
 }
 
@@ -697,14 +672,8 @@ impl Working {
             }
         }
         if let (Some(w), Some(h)) = (&mut self.home, &state.home) {
-            for (l, entry) in h.lines.iter().enumerate() {
-                w.dir.install_entry(
-                    LineAddr(l as u64),
-                    DirEntry {
-                        owner: entry.owner,
-                        sharers: entry.sharers as u64,
-                    },
-                );
+            for (l, &entry) in h.lines.iter().enumerate() {
+                w.dir.install_entry(LineAddr(l as u64), entry);
             }
             w.cache_mask = h.cache_mask.map(u64::from);
         }
@@ -830,7 +799,7 @@ impl Working {
         let home = self.home.as_mut().expect("directory protocol");
         let out = home
             .dir
-            .handle(LineAddr(line as u64), requester as u8, dir_request_of(req));
+            .handle(LineAddr(line as u64), requester as u8, req.into());
         if cfg.mutation != Mutation::StaleRegionDirCache || home.cache_mask.is_none() {
             home.cache_mask = Some(
                 home.dir

@@ -10,7 +10,7 @@ use cgct_sim::Cycle;
 use cgct_system::{CoherenceMode, MemorySystem, SystemConfig};
 use cgct_verify::checker::explore;
 use cgct_verify::model::{
-    apply, GlobalState, HomeState, LineDir, ModelConfig, Mutation, NodeState, Protocol,
+    apply, GlobalState, HomeState, ModelConfig, Mutation, NodeState, Protocol,
 };
 
 /// Golden state/transition counts for the acceptance configuration
@@ -328,10 +328,7 @@ fn observed_home(m: &MemorySystem, nodes: usize, lines: usize) -> HomeState {
                     e.sharers < 1 << nodes,
                     "live sharer bits outside the model's node range"
                 );
-                LineDir {
-                    owner: e.owner,
-                    sharers: e.sharers as u8,
-                }
+                e
             })
             .collect(),
         cache_mask: m

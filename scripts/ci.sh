@@ -189,7 +189,7 @@ cmp -s "$san_dir/cache_cold.md" "$san_dir/cache_warm.md" || {
 }
 # Poison one entry (truncate it mid-payload): the corrupt entry must be
 # detected, re-simulated without a panic, and the output unchanged.
-poisoned="$(find "$cache_dir" -name '*.json' | sort | head -1)"
+poisoned="$(find "$cache_dir" -name '*.json' | sort | sed -n 1p)"
 head -c 64 "$poisoned" > "$poisoned.cut" && mv "$poisoned.cut" "$poisoned"
 CGCT_JOBS=1 CGCT_CACHE=1 CGCT_CACHE_DIR="$cache_dir" \
     target/release/experiments fig7 --quick --json "$san_dir/cache_healed" \

@@ -4,7 +4,7 @@
 //! unsafe (see `MemorySystem::assert_direct_is_safe`).
 
 use cgct_cache::Addr;
-use cgct_interconnect::CoreId;
+use cgct_interconnect::{CoreId, Topology};
 use cgct_sim::check::{check, gen_vec};
 use cgct_sim::{Cycle, Xoshiro256pp};
 use cgct_system::{CoherenceMode, MemorySystem, SystemConfig};
@@ -58,10 +58,8 @@ fn apply(mem: &mut MemorySystem, now: Cycle, op: Op) {
     }
 }
 
-fn run_scenario(mode: CoherenceMode, ops: &[Op]) {
-    let mut cfg = SystemConfig::paper_default(mode);
-    cfg.perturbation = 0;
-    let mut mem = MemorySystem::new(cfg, 1);
+fn run_scenario(cfg: &SystemConfig, ops: &[Op]) {
+    let mut mem = MemorySystem::new(cfg.clone(), 1);
     let mut now = Cycle(0);
     for (i, op) in ops.iter().enumerate() {
         apply(&mut mem, now, *op);
@@ -73,11 +71,21 @@ fn run_scenario(mode: CoherenceMode, ops: &[Op]) {
     mem.check_invariants().expect("final invariants");
 }
 
-/// Runs `cases` generated scenarios of up to `max_ops` ops in `mode`.
+/// Runs `cases` generated scenarios of up to `max_ops` ops in `mode`
+/// on the paper's 4-core machine.
 fn check_mode(name: &str, mode: CoherenceMode, max_ops: usize) {
+    check_machine(name, mode, 4, max_ops);
+}
+
+/// Runs generated scenarios of up to `max_ops` ops in `mode` on a
+/// machine of `cores` cores, every core issuing requests.
+fn check_machine(name: &str, mode: CoherenceMode, cores: usize, max_ops: usize) {
+    let mut cfg = SystemConfig::paper_default(mode);
+    cfg.topology = Topology::for_cores(cores);
+    cfg.perturbation = 0;
     check(name, 64, |g| {
-        let ops = gen_vec(g, 1..max_ops, |g| gen_op(g, 4, 256));
-        run_scenario(mode, &ops);
+        let ops = gen_vec(g, 1..max_ops, |g| gen_op(g, cores as u8, 256));
+        run_scenario(&cfg, &ops);
     });
 }
 
@@ -148,6 +156,33 @@ fn directory_invariants() {
     check_mode(
         "safety::directory_invariants",
         CoherenceMode::Directory,
+        300,
+    );
+}
+
+#[test]
+fn directory_cgct_invariants() {
+    check_mode(
+        "safety::directory_cgct_invariants",
+        CoherenceMode::DirectoryCgct {
+            region_bytes: 512,
+            sets: 8192,
+        },
+        300,
+    );
+}
+
+/// Sixteen cores on two boards, so the inter-cluster region directory
+/// filters which clusters a snoop visits.
+#[test]
+fn hierarchical_invariants() {
+    check_machine(
+        "safety::hierarchical_invariants",
+        CoherenceMode::Hierarchical {
+            region_bytes: 512,
+            sets: 8192,
+        },
+        16,
         300,
     );
 }
