@@ -862,8 +862,9 @@ fn main() {
         });
     }
     if matches!(cmd, "all" | "scalability") {
+        let traces = &mut trace_reports;
         phase("scalability", &mut timing, &mut |jobs, timing| {
-            run_scalability(plan, &args, jobs, timing)
+            run_scalability(plan, &args, jobs, timing, traces)
         });
     }
     if matches!(cmd, "all" | "energy") {
@@ -1294,7 +1295,13 @@ fn run_energy(plan: RunPlan, args: &Args, jobs: usize, timing: &mut TimingLog) {
 /// directory, directory+RCA lookup bypass, clustered hierarchy) are
 /// swept from 4 to 64 nodes on the same workloads to locate the
 /// crossover where snooping stops scaling.
-fn run_scalability(plan: RunPlan, args: &Args, jobs: usize, timing: &mut TimingLog) {
+fn run_scalability(
+    plan: RunPlan,
+    args: &Args,
+    jobs: usize,
+    timing: &mut TimingLog,
+    traces: &mut Vec<cgct_trace::TraceReport>,
+) {
     use cgct_interconnect::Topology;
     use cgct_system::run_once_cached;
     println!("## Scalability — 4 to 64 nodes, directory and hierarchical machines\n");
@@ -1345,6 +1352,20 @@ fn run_scalability(plan: RunPlan, args: &Args, jobs: usize, timing: &mut TimingL
     .into_iter()
     .map(|(r, _)| r)
     .collect();
+    if args.trace_dir.is_some() {
+        // A run's trace label names its benchmark and mode but not its
+        // node count, so the label gains the count: five cells share
+        // each benchmark/mode pair. Item order is canonical, as in
+        // `run_directory_comparison`.
+        let per_count = benchmarks.len() * modes.len();
+        for (i, r) in results.iter().enumerate() {
+            if let Some(t) = &r.trace {
+                let mut t = t.clone();
+                t.label = format!("scalability:{}c/{}", core_counts[i / per_count], t.label);
+                traces.push(t);
+            }
+        }
+    }
     let mut rows = Vec::new();
     for (ci, &cores) in core_counts.iter().enumerate() {
         for (bi, spec) in benchmarks.iter().enumerate() {
