@@ -69,6 +69,7 @@ pub const COHERENCE_PATH_FILES: &[&str] = &[
     "crates/system/src/oracle.rs",
     "crates/system/src/directory.rs",
     "crates/system/src/invariants.rs",
+    "crates/system/src/request.rs",
 ];
 
 /// Whether D005 (float accumulation) applies to `rel`.
@@ -128,6 +129,7 @@ mod tests {
         assert!(is_coherence_path("crates/system/src/memsys.rs"));
         // The invariant walk runs inside sanitized simulation cells.
         assert!(is_coherence_path("crates/system/src/invariants.rs"));
+        assert!(is_coherence_path("crates/system/src/request.rs"));
         assert!(!is_coherence_path("crates/system/src/report.rs"));
         assert!(!is_coherence_path("crates/sim/src/json.rs"));
     }

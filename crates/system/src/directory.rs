@@ -81,6 +81,17 @@ pub enum DirAction {
     },
 }
 
+impl DirAction {
+    /// The caches this action invalidates (stale targets included).
+    pub fn invalidate(&self) -> &[u8] {
+        match self {
+            DirAction::FromMemory { invalidate }
+            | DirAction::ForwardToOwner { invalidate, .. }
+            | DirAction::InvalidateOnly { invalidate } => invalidate,
+        }
+    }
+}
+
 /// What the requester asked the directory for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DirRequest {

@@ -39,6 +39,7 @@ pub mod memsys;
 pub mod metrics;
 pub mod oracle;
 pub mod report;
+pub mod request;
 pub mod resultcache;
 pub mod runner;
 

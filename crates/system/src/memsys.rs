@@ -16,13 +16,14 @@ use crate::directory::{
 use crate::invariants::{self, LineCopy, RegionEntry, RegionView};
 use crate::metrics::{MemMetrics, RequestCategory};
 use crate::oracle::classify;
+use crate::request::{self, Arm, Machine, MergedRegionResp, Outcome, Store, Upkeep, Visit};
 use cgct::{
     FillKind, JettyFilter, LocalFill, RegionCoherenceArray, RegionPermission, RegionScout,
     RegionSnoopResponse, ScaledRca,
 };
 use cgct_cache::{
-    requester_next_state, snoop_line, Addr, Geometry, LineAddr, LineSnoopResponse, MoesiState,
-    MsiState, RegionAddr, ReqKind, SetAssocArray, SnoopAction,
+    snoop_line, Addr, Geometry, LineAddr, MoesiState, MsiState, RegionAddr, ReqKind, SetAssocArray,
+    SnoopAction,
 };
 use cgct_cpu::StreamPrefetcher;
 use cgct_interconnect::{
@@ -40,19 +41,12 @@ use cgct_trace::{
 /// `(sink, node, seq)` argument the `*_traced` interconnect variants
 /// take.
 macro_rules! trace_arg {
-    ($self:ident, $tid:expr) => {
-        match (&mut $self.tracer, $tid) {
+    ($ms:expr, $tid:expr) => {
+        match (&mut $ms.tracer, $tid) {
             (Some(t), Some((node, seq))) => Some((&mut t.sink as &mut dyn TraceSink, node, seq)),
             _ => None,
         }
     };
-}
-
-/// Merged region-level snoop response across all snoopers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct MergedRegionResp {
-    rca: RegionSnoopResponse,
-    cached_bit: bool,
 }
 
 /// The coherence tracker variant attached to one node.
@@ -356,28 +350,6 @@ impl RegionHolders {
             if *mask == 0 {
                 self.map.remove(&region.0);
             }
-        }
-    }
-}
-
-/// The nodes a snoop loop visits, in ascending order: the set bits of a
-/// node mask, or every node.
-enum Visit {
-    Mask(u64),
-    All(std::ops::Range<usize>),
-}
-
-impl Iterator for Visit {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        match self {
-            Visit::Mask(mask) => (*mask != 0).then(|| {
-                let node = mask.trailing_zeros() as usize;
-                *mask &= *mask - 1;
-                node
-            }),
-            Visit::All(nodes) => nodes.next(),
         }
     }
 }
@@ -1265,8 +1237,7 @@ impl MemorySystem {
         let region = self.geom.region_of_line(line);
         let mc = self.topo.mc_of_region(region);
         let dist = self.topo.distance(core, mc);
-        let category = RequestCategory::of(req);
-        self.metrics.requests.record(category);
+        self.metrics.requests.record(RequestCategory::of(req));
         self.maybe_sample_rca(core);
         let tid = self.trace_begin(core, now, req, line, prefetch);
         if tid.is_some() {
@@ -1280,488 +1251,32 @@ impl MemorySystem {
                 self.trace_unkeyed(core, now, kind);
             }
         }
-
-        match self.cfg.mode {
-            CoherenceMode::Directory => {
-                return self.directory_request(core, now, req, line, tid, false, RegionUpkeep::None)
-            }
-            CoherenceMode::DirectoryCgct { .. } => {
-                return self.directory_cgct_request(core, now, req, line, tid)
-            }
-            _ => {}
-        }
-
-        let mut permission = self.nodes[core.0].tracker.permission(region, req);
-        if req == ReqKind::Writeback && !self.cfg.direct_writebacks {
-            permission = RegionPermission::Broadcast;
-        }
-        match permission {
-            RegionPermission::CompleteLocally => {
-                self.complete_locally_request(core, now, req, line, region, mc, tid)
-            }
-            RegionPermission::DirectToMemory => {
-                self.direct_to_memory_request(core, now, req, line, region, mc, dist, tid)
-            }
-            RegionPermission::Broadcast => {
-                // §6 extension: for data reads into an externally-dirty
-                // region, probe the predicted owner point-to-point first;
-                // a hit is a two-hop cache-to-cache transfer with no
-                // broadcast at all.
-                if self.cfg.owner_prediction && req == ReqKind::Read && !prefetch {
-                    if let Some(done) = self.try_owner_predicted_read(core, now, line, region) {
-                        self.trace_retire(tid, done, PathTag::OwnerPredicted);
-                        return done;
-                    }
-                }
-                // §6 extension: the region state predicts whether the data
-                // will come from another cache, letting the memory
-                // controller skip its speculative DRAM access.
-                let predicted_cached = self.cfg.dram_speculation_filter
-                    && self.nodes[core.0]
-                        .tracker
-                        .region_state(region)
-                        .is_some_and(|s| s.is_externally_dirty());
-                // The hierarchical machine is the flat bus split into
-                // cluster buses: the requester's own cluster is always
-                // snooped, and `visit` masks the remote clusters that the
-                // inter-cluster region directory records as caching lines
-                // of the region. `None` is the flat bus: every node.
-                let clusters = self.cluster_dir.as_ref().map(|dir| {
-                    let (mine, others) = (self.topo.cluster_of(core), self.topo.clusters() - 1);
-                    let visit = (0..=others)
-                        .filter(|&c| c != mine && dir.count(region, c) > 0)
-                        .fold(0u64, |mask, c| mask | 1 << c);
-                    self.metrics.cluster_snoops_filtered +=
-                        (others - visit.count_ones() as usize) as u64;
-                    if visit == 0 {
-                        self.metrics.cluster_local_requests += 1;
-                    } else {
-                        self.metrics.cross_cluster_requests += 1;
-                    }
-                    (mine, visit)
-                });
-                let skipped = |topo: &Topology, other: usize| {
-                    clusters.is_some_and(|(mine, visit)| {
-                        let c = topo.cluster_of(CoreId(other));
-                        c != mine && visit & (1 << c) == 0
-                    })
-                };
-                let bus = match clusters {
-                    Some((mine, _)) => &mut self.cluster_buses[mine],
-                    None => &mut self.bus,
-                };
-                let grant = bus.grant_event(now, &mut self.events, trace_arg!(self, tid));
-                self.metrics.broadcasts += 1;
-                self.metrics
-                    .traffic
-                    .record(grant.saturating_sub(self.metrics_epoch.0));
-                // The local snoop resolves first; each visited remote
-                // cluster's snoop is launched off the local grant and pays
-                // a cross-machine hop each way (plus that cluster's own
-                // bus arbitration).
-                let mut snoop_done = grant + self.cfg.latency.snoop_cpu();
-                let hop = self.cfg.latency.direct_request(DistanceClass::Remote);
-                let mut remote = clusters.map_or(0, |(_, visit)| visit);
-                while remote != 0 {
-                    let c = remote.trailing_zeros() as usize;
-                    remote &= remote - 1;
-                    let remote_grant =
-                        self.cluster_buses[c].grant_event(grant + hop, &mut self.events, None);
-                    snoop_done = snoop_done.max(remote_grant + self.cfg.latency.snoop_cpu() + hop);
-                }
-                self.events.schedule(snoop_done, MemEvent::SnoopComplete);
-
-                // Snoop every other visible node's cache line state. With
-                // the RCA-holder mask and no Jetty filter, every visible
-                // node's tag lookup is counted but only the region's RCA
-                // holders are probed: any other node caches no line of
-                // the region, so its lookup would find Invalid and change
-                // nothing.
-                let mut line_resp = LineSnoopResponse::default();
-                let mut owner: Option<CoreId> = None;
-                let visit = match &self.holders {
-                    Some(holders) if !self.cfg.jetty_filter => {
-                        let visible = match clusters {
-                            None => low_nodes(self.nodes.len()),
-                            // Clusters are equal runs of consecutive nodes.
-                            Some((mine, visit)) => {
-                                let per = self.nodes.len() / self.topo.clusters();
-                                Visit::Mask(visit | 1 << mine)
-                                    .fold(0, |m, c| m | low_nodes(per) << (c * per))
-                            }
-                        } & !(1 << core.0);
-                        self.metrics.snooped_tag_lookups += u64::from(visible.count_ones());
-                        Visit::Mask(holders.mask(region) & visible)
-                    }
-                    _ => Visit::All(0..self.nodes.len()),
-                };
-                let count_lookups = matches!(visit, Visit::All(_));
-                for other in visit {
-                    if other == core.0 || skipped(&self.topo, other) {
-                        continue;
-                    }
-                    // Jetty (if fitted) may prove the line absent and skip
-                    // the tag lookup; a correct filter never skips a line
-                    // that is actually cached.
-                    if let Some(jetty) = &mut self.nodes[other].jetty {
-                        if !jetty.maybe_present(line) {
-                            self.metrics.jetty_filtered_lookups += 1;
-                            debug_assert!(
-                                !self.nodes[other].l2.contains(line.0),
-                                "jetty false negative at node {other}"
-                            );
-                            continue;
-                        }
-                    }
-                    if count_lookups {
-                        self.metrics.snooped_tag_lookups += 1;
-                    }
-                    let state = self.nodes[other]
-                        .l2
-                        .get(line.0)
-                        .copied()
-                        .unwrap_or(MoesiState::Invalid);
-                    let out = snoop_line(state, req);
-                    line_resp.merge(out.response);
-                    if out.action == SnoopAction::SupplyData {
-                        owner = Some(CoreId(other));
-                    }
-                    if out.next != state {
-                        self.apply_snooped_transition(other, line, state, out.next, region);
-                    }
-                }
-                // Sanitizer: a skipped cluster must cache nothing of the
-                // region — the filter may only skip true negatives.
-                if clusters.is_some() && (cfg!(debug_assertions) || self.sanitize) {
-                    for other in (0..self.nodes.len()).filter(|&o| skipped(&self.topo, o)) {
-                        let cached = self.nodes[other].count_region_lines(self.geom, region);
-                        if cached > 0 {
-                            panic!(
-                                "coherence sanitizer: cluster filter skipped cluster {} but \
-                                 node {other} caches {cached} line(s) of {region}",
-                                self.topo.cluster_of(CoreId(other))
-                            );
-                        }
-                    }
-                }
-
-                // Oracle classification (Figure 2) on what was broadcast.
-                if classify(req, line_resp).unnecessary {
-                    self.metrics.unnecessary.record(category);
-                }
-
-                let fill_state = requester_next_state(req, line_resp);
-                let fill_exclusive = fill_state.is_some_and(|s| s.can_silently_modify());
-
-                self.trace_ev(
-                    tid,
-                    snoop_done,
-                    EventKind::SnoopDone {
-                        owner: owner.is_some(),
-                    },
-                );
-
-                // Region snoop responses, merged across snoopers.
-                let region_resp =
-                    self.region_external_all(core, region, req, fill_exclusive, snoop_done);
-
-                // Requester's region update (may displace a region).
-                if req != ReqKind::Writeback {
-                    let fill = fill_state.map_or(FillKind::Shared, FillKind::from_moesi);
-                    self.rca_local_complete(core, region, fill, Some(region_resp), mc, now);
-                }
-
-                // Remember who supplied dirty data: the owner hint feeds
-                // the §6 owner predictor.
-                if let Some(owner) = owner {
-                    self.nodes[core.0]
-                        .tracker
-                        .record_supplier(region, owner.0 as u8);
-                }
-                // Data movement and completion time. The baseline memory
-                // controller starts the DRAM access speculatively in
-                // parallel with the snoop (Figure 6); if an owner cache
-                // supplies the data that access was wasted — unless the
-                // region-state predictor suppressed it (§6 extension).
-                // Data cannot be handed over before every visited
-                // cluster's snoop response is in; on the flat bus that
-                // bound never binds. The flat bus tags the data source,
-                // the hierarchy how far the snoop reached.
-                let path = |flat: PathTag| match clusters {
-                    None => flat,
-                    Some((_, 0)) => PathTag::ClusterLocal,
-                    Some(_) => PathTag::ClusterRemote,
-                };
-                let (done, path) = if req.needs_data() {
-                    if let Some(owner) = owner {
-                        self.metrics.cache_to_cache += 1;
-                        if predicted_cached {
-                            self.metrics.dram_speculation_saved += 1;
-                        } else {
-                            self.metrics.dram_speculation_wasted += 1;
-                            // Wasted speculative access: off the critical
-                            // path, so it leaves no trace milestone.
-                            self.mcs[mc.0].start_access_event(grant, &mut self.events, None);
-                        }
-                        let d = self.topo.core_distance(core, owner);
-                        let supplied = (grant + self.cfg.latency.cache_to_cache(d)).max(snoop_done);
-                        let _ = self.reserve_data_port(owner, supplied);
-                        self.trace_ev(tid, supplied, EventKind::Fill);
-                        (
-                            self.reserve_data_port(core, supplied),
-                            path(PathTag::BroadcastCache),
-                        )
-                    } else {
-                        self.metrics.memory_fills += 1;
-                        // A wrong "cached" prediction must restart the
-                        // DRAM access after the snoop resolves.
-                        let dram_at = if predicted_cached { snoop_done } else { grant };
-                        let dram_start = self.mcs[mc.0].start_access_event(
-                            dram_at,
-                            &mut self.events,
-                            trace_arg!(self, tid),
-                        );
-                        self.trace_ev(
-                            tid,
-                            dram_start + self.cfg.latency.dram.as_cpu_cycles(),
-                            EventKind::DramDone,
-                        );
-                        let queue_extra = dram_start - dram_at;
-                        let base = if predicted_cached {
-                            // Serialized: full snoop, then full DRAM+transfer.
-                            self.cfg.latency.snoop_cpu()
-                                + self.cfg.latency.dram.as_cpu_cycles()
-                                + self.cfg.latency.transfer_cpu(dist)
-                        } else {
-                            self.cfg.latency.snoop_memory_access(dist)
-                        };
-                        let arrived = (grant + base + queue_extra).max(snoop_done);
-                        self.trace_ev(tid, arrived, EventKind::Fill);
-                        (
-                            self.reserve_data_port(core, arrived),
-                            path(PathTag::BroadcastMemory),
-                        )
-                    }
-                } else if req == ReqKind::Writeback {
-                    let _ = self.reserve_data_port(core, now);
-                    self.mcs[mc.0].start_access_event(snoop_done, &mut self.events, None);
-                    (now, path(PathTag::BroadcastControl))
-                } else {
-                    (snoop_done, path(PathTag::BroadcastControl))
-                };
-                if let Some(state) = fill_state {
-                    if !prefetch || !self.nodes[core.0].l2.contains(line.0) {
-                        self.fill_l2(core, line, state, now);
-                    }
-                }
-                self.trace_retire(tid, done, path);
-                done
-            }
-        }
-    }
-
-    /// Directory-protocol request path: every request travels
-    /// point-to-point to the line's home controller; owned lines are
-    /// forwarded (three hops), everything else is served from memory.
-    /// No broadcasts exist in this mode.
-    ///
-    /// The home lookup is itself a DRAM access (full-map state lives in
-    /// memory, as in the SGI Origin), and memory-sourced fills pay a
-    /// *second*, serialized DRAM access for the data. Region-tracking
-    /// modes can prove the lookup redundant — the requester's RCA claim
-    /// or the home's region-grain directory cache shows no other node
-    /// holds the region — and pass `skip_lookup` to charge only the
-    /// request hop. The per-line directory is updated either way: the
-    /// bypass is a latency optimization, never a bookkeeping one.
-    /// `upkeep` selects the region-grain bookkeeping run at the home
-    /// point ([`RegionUpkeep::None`] for the flat directory).
-    #[allow(clippy::too_many_arguments)]
-    fn directory_request(
-        &mut self,
-        core: CoreId,
-        now: Cycle,
-        req: ReqKind,
-        line: LineAddr,
-        tid: Option<(u8, u64)>,
-        skip_lookup: bool,
-        upkeep: RegionUpkeep,
-    ) -> Cycle {
-        let region = self.geom.region_of_line(line);
-        let mc = self.topo.mc_of_region(region);
-        let dist = self.topo.distance(core, mc);
-        let category = RequestCategory::of(req);
-        self.metrics.direct.record(category);
-        let (action, exclusive) = self.directories[mc.0].handle(line, core.0 as u8, req.into());
-        self.refresh_region_dir_cache(mc, region);
-        if req == ReqKind::Writeback {
-            let _ = self.reserve_data_port(core, now);
-            let arrive = now + self.cfg.latency.direct_request(dist);
-            self.mcs[mc.0].start_access_event(arrive, &mut self.events, None);
-            self.trace_retire(tid, now, PathTag::DirectoryControl);
-            return now;
-        }
-        let req_hop = self.cfg.latency.direct_request(dist);
-        self.trace_ev(tid, now + req_hop, EventKind::HopDone);
-        let dir_done = if skip_lookup {
-            // Region knowledge proved nobody else holds the region: the
-            // per-line directory lookup never happens on the wire.
-            self.metrics.dir_bypasses += 1;
-            self.assert_bypass_clean(core, req, line, &action);
-            (now + req_hop).align_to_system_clock()
-        } else {
-            self.metrics.dir_lookups += 1;
-            let dir_start = self.mcs[mc.0].start_access_event(
-                (now + req_hop).align_to_system_clock(),
-                &mut self.events,
-                trace_arg!(self, tid),
-            );
-            let done = dir_start + self.cfg.latency.dram.as_cpu_cycles();
-            self.trace_ev(tid, done, EventKind::DramDone);
-            done
+        let mut live = Live {
+            ms: self,
+            core,
+            now,
+            req,
+            line,
+            region,
+            mc,
+            dist,
+            tid,
+            arm: Arm::Local,
+            resolved: now,
+            clusters: None,
+            grant: now,
+            predicted_cached: false,
+            bypassed: false,
+            done: now,
+            path: PathTag::Local,
         };
-        let mut inval_latency = 0u64;
-        let invalidate = match &action {
-            DirAction::FromMemory { invalidate }
-            | DirAction::ForwardToOwner { invalidate, .. }
-            | DirAction::InvalidateOnly { invalidate } => invalidate,
-        };
-        for &target in invalidate {
-            let t = CoreId(target as usize);
-            if t == core || t.0 >= self.nodes.len() {
-                continue;
-            }
-            if self.nodes[t.0].l2_remove(self.geom, line).is_some() {
-                self.nodes[t.0].l1d.remove(line.0);
-                self.nodes[t.0].l1i.remove(line.0);
-                if let Some(j) = &mut self.nodes[t.0].jetty {
-                    j.remove(line);
-                }
-                self.nodes[t.0].tracker.line_uncached(region);
-                self.cluster_note_uncached(t.0, region);
-            }
-            let hop = self.cfg.latency.direct_request(self.topo.distance(t, mc));
-            inval_latency = inval_latency.max(2 * hop);
+        live.arm = request::route(&mut live, core.0, req);
+        match live.arm {
+            Arm::Local => live.complete_locally(),
+            Arm::Direct => live.direct(),
+            Arm::Broadcast => live.broadcast(prefetch),
+            Arm::Home(upkeep) => live.home(upkeep),
         }
-        let fill_state = match req {
-            ReqKind::ReadShared if upkeep == RegionUpkeep::DirectFill => {
-                // A shared read riding an externally-clean region claim
-                // must not take the directory's exclusive grant: other
-                // nodes hold CC entries over this region, and an E copy
-                // here would let a silent upgrade invalidate their
-                // claims without any region-grain notification. The
-                // snooping machine's direct path makes the same call.
-                MoesiState::Shared
-            }
-            ReqKind::Read | ReqKind::ReadShared => {
-                if exclusive {
-                    MoesiState::Exclusive
-                } else {
-                    MoesiState::Shared
-                }
-            }
-            _ => MoesiState::Modified,
-        };
-        match upkeep {
-            RegionUpkeep::None => {}
-            RegionUpkeep::DirectFill => {
-                // Requester-side region bypass: invisible to other
-                // nodes' region state (their entries, if any, stay
-                // conservative — the claim says they have none).
-                let fill = FillKind::from_moesi(fill_state);
-                self.rca_local_complete(core, region, fill, None, mc, now);
-            }
-            RegionUpkeep::FullExternal => {
-                // Region-grain outcome relayed to every node's tracker
-                // through the home's region directory.
-                let fill_exclusive = fill_state.can_silently_modify();
-                let resp = self.region_external_all(core, region, req, fill_exclusive, dir_done);
-                let fill = FillKind::from_moesi(fill_state);
-                self.rca_local_complete(core, region, fill, Some(resp), mc, now);
-            }
-        }
-        let (data_done, path) = match action {
-            DirAction::ForwardToOwner { owner, .. } => {
-                let o = CoreId(owner as usize);
-                let owner_state = self.nodes[o.0]
-                    .l2
-                    .get(line.0)
-                    .copied()
-                    .unwrap_or(MoesiState::Invalid);
-                if owner_state.is_valid() {
-                    // Three-hop transfer: home -> owner -> requester.
-                    let out = snoop_line(owner_state, req);
-                    self.apply_snooped_transition(
-                        o.0,
-                        line,
-                        owner_state,
-                        out.next,
-                        self.geom.region_of_line(line),
-                    );
-                    self.metrics.cache_to_cache += 1;
-                    self.metrics.three_hop_transfers += 1;
-                    let fwd = self.cfg.latency.direct_request(self.topo.distance(o, mc));
-                    let supply = self.cfg.hierarchy.l2.latency
-                        + self
-                            .cfg
-                            .latency
-                            .transfer_cpu(self.topo.core_distance(core, o));
-                    let supplied = dir_done + fwd + supply;
-                    let _ = self.reserve_data_port(o, supplied);
-                    self.trace_ev(tid, supplied, EventKind::Fill);
-                    (
-                        self.reserve_data_port(core, supplied),
-                        PathTag::DirectoryForwarded,
-                    )
-                } else {
-                    // Stale owner (silently evicted a clean E copy): the
-                    // home retries from memory after the failed forward.
-                    let fwd = self.cfg.latency.direct_request(self.topo.distance(o, mc));
-                    let dram_start = self.mcs[mc.0].start_access_event(
-                        dir_done + 2 * fwd,
-                        &mut self.events,
-                        None,
-                    );
-                    self.metrics.memory_fills += u64::from(req.needs_data());
-                    (
-                        dram_start
-                            + self.cfg.latency.dram.as_cpu_cycles()
-                            + self.cfg.latency.transfer_cpu(dist),
-                        PathTag::DirectoryMemory,
-                    )
-                }
-            }
-            DirAction::FromMemory { .. } if req.needs_data() => {
-                // The data is its own DRAM access, serialized after the
-                // directory lookup — or started immediately when the
-                // lookup was bypassed.
-                self.metrics.memory_fills += 1;
-                let dram_start = self.mcs[mc.0].start_access_event(
-                    dir_done,
-                    &mut self.events,
-                    trace_arg!(self, tid),
-                );
-                let arrived = dram_start
-                    + self.cfg.latency.dram.as_cpu_cycles()
-                    + self.cfg.latency.transfer_cpu(dist);
-                self.trace_ev(tid, arrived, EventKind::Fill);
-                (
-                    self.reserve_data_port(core, arrived),
-                    if skip_lookup {
-                        PathTag::DirectoryBypassed
-                    } else {
-                        PathTag::DirectoryMemory
-                    },
-                )
-            }
-            // No data moves for upgrades and invalidate-only requests;
-            // keep them out of the memory/bypassed fill populations so
-            // those two differ only by the lookup DRAM access.
-            _ => (dir_done, PathTag::DirectoryControl),
-        };
-        self.fill_l2(core, line, fill_state, now);
-        let done = data_done.max(dir_done + inval_latency);
-        self.trace_retire(tid, done, path);
-        done
     }
 
     /// The full-map directory at controller `mc` (Directory mode).
@@ -1775,104 +1290,18 @@ impl MemorySystem {
         self.region_dir_caches.get(mc)
     }
 
-    /// Complete-locally path shared by every region-tracking mode: the
-    /// region claim lets the request finish with no interconnect
-    /// traffic at all.
-    #[allow(clippy::too_many_arguments)]
-    fn complete_locally_request(
-        &mut self,
-        core: CoreId,
-        now: Cycle,
-        req: ReqKind,
-        line: LineAddr,
-        region: RegionAddr,
-        mc: McId,
-        tid: Option<(u8, u64)>,
-    ) -> Cycle {
-        self.metrics.local.record(RequestCategory::of(req));
-        self.check_direct_decision(core, req, line);
-        // The claim is a valid entry, so nothing is allocated or displaced.
-        let _ = self.tracker_local_complete(core, region, FillKind::Exclusive, None, mc);
-        if req == ReqKind::Dcbz {
-            self.fill_l2(core, line, MoesiState::Modified, now);
-            self.trace_unkeyed(core, now, EventKind::DcbzElided { line: line.0 });
-        }
-        self.trace_retire(tid, now, PathTag::Local);
-        now
-    }
-
-    /// Direct-to-memory path shared by the snooping and hierarchical
-    /// machines: a point-to-point request to the region's controller,
-    /// no snoops anywhere.
-    #[allow(clippy::too_many_arguments)]
-    fn direct_to_memory_request(
-        &mut self,
-        core: CoreId,
-        now: Cycle,
-        req: ReqKind,
-        line: LineAddr,
-        region: RegionAddr,
-        mc: McId,
-        dist: DistanceClass,
-        tid: Option<(u8, u64)>,
-    ) -> Cycle {
-        self.metrics.direct.record(RequestCategory::of(req));
-        // Safety net: a direct request must never be issued when
-        // the broadcast was actually required — this is the
-        // CGCT-transparency invariant. Always on in debug builds,
-        // and in release builds under the sanitizer.
-        self.check_direct_decision(core, req, line);
-        if req == ReqKind::Writeback {
-            // Fire-and-forget: deliver to the controller, done.
-            let _ = self.reserve_data_port(core, now);
-            let arrive = now + self.cfg.latency.direct_request(dist);
-            self.mcs[mc.0].start_access_event(arrive, &mut self.events, None);
-            self.trace_retire(tid, now, PathTag::Direct);
-            return now;
-        }
-        let fill_state = match req {
-            ReqKind::Read => MoesiState::Exclusive,
-            ReqKind::ReadShared => MoesiState::Shared,
-            _ => MoesiState::Modified,
-        };
-        let fill = FillKind::from_moesi(fill_state);
-        self.rca_local_complete(core, region, fill, None, mc, now);
-        let arrive = now + self.cfg.latency.direct_request(dist);
-        self.trace_ev(tid, arrive, EventKind::HopDone);
-        let dram_start = self.mcs[mc.0].start_access_event(
-            arrive.align_to_system_clock(),
-            &mut self.events,
-            trace_arg!(self, tid),
-        );
-        self.trace_ev(
-            tid,
-            dram_start + self.cfg.latency.dram.as_cpu_cycles(),
-            EventKind::DramDone,
-        );
-        let mut done = dram_start
-            + self.cfg.latency.dram.as_cpu_cycles()
-            + self.cfg.latency.transfer_cpu(dist);
-        if req.needs_data() || req == ReqKind::Dcbz {
-            self.metrics.memory_fills += u64::from(req.needs_data());
-            self.fill_l2(core, line, fill_state, now);
-            self.trace_ev(tid, done, EventKind::Fill);
-            done = self.reserve_data_port(core, done);
-        }
-        self.trace_retire(tid, done, PathTag::Direct);
-        done
-    }
-
-    /// Applies a local completion to node `core`'s tracker, keeping the
-    /// RCA-holder mask in step; returns a displaced region whose lines
-    /// must be flushed (region, line count).
-    fn tracker_local_complete(
+    /// Requester-side region completion: installs/updates the region
+    /// entry, keeping the RCA-holder mask in step, and flushes any
+    /// displaced region out of the hierarchy.
+    fn rca_local_complete(
         &mut self,
         core: CoreId,
         region: RegionAddr,
         fill: FillKind,
         resp: Option<MergedRegionResp>,
         mc: McId,
-    ) -> Option<(RegionAddr, u32)> {
+        now: Cycle,
+    ) {
         let (allocated, victim) = self.nodes[core.0]
             .tracker
             .local_complete(region, fill, resp, mc.0 as u8);
@@ -1884,63 +1313,11 @@ impl MemorySystem {
                 holders.remove(victim, core.0);
             }
         }
-        victim
-    }
-
-    /// Requester-side region completion: installs/updates the region
-    /// entry and flushes any displaced region out of the hierarchy.
-    fn rca_local_complete(
-        &mut self,
-        core: CoreId,
-        region: RegionAddr,
-        fill: FillKind,
-        resp: Option<MergedRegionResp>,
-        mc: McId,
-        now: Cycle,
-    ) {
-        if let Some((victim, count)) = self.tracker_local_complete(core, region, fill, resp, mc) {
-            self.trace_unkeyed(
-                core,
-                now,
-                EventKind::RcaEvict {
-                    region: victim.0,
-                    lines: count,
-                },
-            );
+        if let Some((victim, count)) = victim {
+            let (region, lines) = (victim.0, count);
+            self.trace_unkeyed(core, now, EventKind::RcaEvict { region, lines });
             self.flush_region(core, now, victim);
         }
-    }
-
-    /// Notifies every other node's region tracker of an external
-    /// request to `region` and merges their region-grain responses. On
-    /// the snooping bus this is the region snoop; in the directory and
-    /// hierarchical machines it models the region-grain outcome relayed
-    /// through the home's region directory. Only the region's RCA
-    /// holders are visited where the mask is kept: a node with no entry
-    /// answers nothing and changes nothing. Trace self-invalidations are
-    /// stamped at `when`, in node order.
-    fn region_external_all(
-        &mut self,
-        core: CoreId,
-        region: RegionAddr,
-        req: ReqKind,
-        fill_exclusive: bool,
-        when: Cycle,
-    ) -> MergedRegionResp {
-        let visit = match &self.holders {
-            Some(holders) => Visit::Mask(holders.mask(region) & !(1 << core.0)),
-            None => Visit::All(0..self.nodes.len()),
-        };
-        let mut region_resp = MergedRegionResp::default();
-        for other in visit {
-            if other == core.0 {
-                continue;
-            }
-            let r = self.tracker_external(other, region, req, fill_exclusive, when);
-            region_resp.rca.merge(r.rca);
-            region_resp.cached_bit |= r.cached_bit;
-        }
-        region_resp
     }
 
     /// Delivers an external request to `region` to node `other`'s
@@ -1965,11 +1342,8 @@ impl MemorySystem {
             if let Some(holders) = &mut self.holders {
                 holders.remove(region, other);
             }
-            self.trace_unkeyed(
-                CoreId(other),
-                when,
-                EventKind::RcaSelfInvalidate { region: region.0 },
-            );
+            let kind = EventKind::RcaSelfInvalidate { region: region.0 };
+            self.trace_unkeyed(CoreId(other), when, kind);
         }
         r
     }
@@ -2004,85 +1378,33 @@ impl MemorySystem {
 
     /// Sanitizer: a request that skipped the home's directory lookup
     /// (or the home visit entirely) must not have required
-    /// directory-driven work — the region claim said no other node
-    /// holds any line of the region, so the action can name no cache
-    /// that actually holds this line. Stale entries (from silent clean
-    /// evictions) may still appear in the action; the resulting
-    /// messages are the full-map protocol's usual harmless no-ops.
+    /// directory-driven work: the action may name no cache whose live
+    /// copy its message changes or must supply. An exclusive claim says
+    /// no other node holds a line of the region; a shared read riding
+    /// an externally-clean claim may meet clean shared copies, which a
+    /// forward leaves as they are. Stale entries (from silent clean
+    /// evictions) are the full-map protocol's usual harmless no-ops.
     fn assert_bypass_clean(&self, core: CoreId, req: ReqKind, line: LineAddr, action: &DirAction) {
         if !(cfg!(debug_assertions) || self.sanitize) {
             return;
         }
         let holds = |t: u8| {
             let t = t as usize;
-            t != core.0
-                && t < self.nodes.len()
-                && self.nodes[t].l2.get(line.0).is_some_and(|s| s.is_valid())
+            t != core.0 && t < self.nodes.len() && self.l2_state(CoreId(t), line).is_valid()
         };
-        let (live_foreign_owner, invalidate) = match action {
-            DirAction::ForwardToOwner { owner, invalidate } => (holds(*owner), invalidate),
-            DirAction::FromMemory { invalidate } | DirAction::InvalidateOnly { invalidate } => {
-                (false, invalidate)
-            }
+        let needed = |owner: u8| {
+            let state = self.l2_state(CoreId(owner as usize), line);
+            let snoop = snoop_line(state, req);
+            snoop.next != state || snoop.action == SnoopAction::SupplyData
         };
-        if live_foreign_owner || invalidate.iter().any(|&t| holds(t)) {
+        let forward = |o: u8| holds(o) && needed(o);
+        let live_owner =
+            matches!(action, DirAction::ForwardToOwner { owner, .. } if forward(*owner));
+        if live_owner || action.invalidate().iter().any(|&t| holds(t)) {
             panic!(
                 "coherence sanitizer: directory bypass for {core} {req:?} {line} \
                  required remote work ({action:?})"
             );
-        }
-    }
-
-    /// DirectoryCgct request path: the directory machine of
-    /// [`MemorySystem::directory_request`] with per-node RCAs layered
-    /// on top. A region claim that proves no other node holds the
-    /// region lets the request skip the home's directory-lookup DRAM
-    /// access (or, for complete-locally requests, all latency); without
-    /// a claim, the home's region-grain directory cache can prove the
-    /// same thing and short-circuit the lookup at the home point.
-    fn directory_cgct_request(
-        &mut self,
-        core: CoreId,
-        now: Cycle,
-        req: ReqKind,
-        line: LineAddr,
-        tid: Option<(u8, u64)>,
-    ) -> Cycle {
-        let region = self.geom.region_of_line(line);
-        let mc = self.topo.mc_of_region(region);
-        if req == ReqKind::Writeback {
-            // Write-backs travel point-to-point to the home in every
-            // directory machine (the home falls out of the address, so
-            // the region entry's controller index is not even needed).
-            return self.directory_request(core, now, req, line, tid, false, RegionUpkeep::None);
-        }
-        match self.nodes[core.0].tracker.permission(region, req) {
-            RegionPermission::CompleteLocally => {
-                // The per-line directory still learns of the request —
-                // modeled as an update message off the critical path;
-                // the region claim guarantees it triggers no remote
-                // work (asserted below).
-                let (action, _) = self.directories[mc.0].handle(line, core.0 as u8, req.into());
-                self.refresh_region_dir_cache(mc, region);
-                self.assert_bypass_clean(core, req, line, &action);
-                self.complete_locally_request(core, now, req, line, region, mc, tid)
-            }
-            RegionPermission::DirectToMemory => {
-                // §5 direct-to-memory, directory flavor: skip the home's
-                // directory-lookup DRAM access and go straight to data.
-                self.check_direct_decision(core, req, line);
-                self.directory_request(core, now, req, line, tid, true, RegionUpkeep::DirectFill)
-            }
-            RegionPermission::Broadcast => {
-                // No region claim: the request must visit the home. The
-                // home's region-grain directory cache may still prove
-                // the region unshared by everyone else and skip the
-                // per-line lookup DRAM access.
-                let skip = self.region_dir_caches[mc.0]
-                    .lookup(region)
-                    .is_some_and(|mask| mask & !(1u64 << core.0) == 0);
-                self.directory_request(core, now, req, line, tid, skip, RegionUpkeep::FullExternal)
-            }
         }
     }
 
@@ -2127,7 +1449,7 @@ impl MemorySystem {
         // copies, and nobody's region state can become stale-unsafe (the
         // external parts only stay conservative).
         let out = snoop_line(owner_state, ReqKind::Read);
-        self.apply_snooped_transition(owner.0, line, owner_state, out.next, region);
+        self.apply_snooped_transition(owner.0, line, out.next, region);
         let _ = self.tracker_external(owner.0, region, ReqKind::Read, false, now);
         // Requester fills shared; the region entry stays externally dirty.
         let mc = self.topo.mc_of_region(region);
@@ -2148,7 +1470,6 @@ impl MemorySystem {
         &mut self,
         other: usize,
         line: LineAddr,
-        _old: MoesiState,
         next: MoesiState,
         region: RegionAddr,
     ) {
@@ -2592,18 +1913,531 @@ impl MemorySystem {
     }
 }
 
-/// Region-grain bookkeeping run at the home point of a directory-mode
-/// request (see [`MemorySystem::directory_request`]).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum RegionUpkeep {
-    /// Flat directory: no region tracking at all.
-    None,
-    /// Requester-side RCA bypass: update only the requester's region
-    /// entry; other nodes never observe the request.
-    DirectFill,
-    /// Full region maintenance: notify every other node's tracker and
-    /// complete the requester's entry from the merged response.
-    FullExternal,
+/// One coherence-point request in flight: the live [`Store`] that the
+/// request core ([`crate::request`]) steps. Every line, region and home
+/// transition of an arm comes from the core; this driver adds the
+/// timing, metrics, tracing and live-only checks, carrying the
+/// request's timing context from hook to hook.
+struct Live<'a> {
+    ms: &'a mut MemorySystem,
+    core: CoreId,
+    now: Cycle,
+    req: ReqKind,
+    line: LineAddr,
+    region: RegionAddr,
+    mc: McId,
+    dist: DistanceClass,
+    tid: Option<(u8, u64)>,
+    arm: Arm,
+    /// When the snoop or the home lookup resolved; region
+    /// self-invalidations are stamped here.
+    resolved: Cycle,
+    /// Broadcast arm: the requester's cluster and the mask of remote
+    /// clusters visited (`None` on the flat bus), the bus grant, and
+    /// whether the region state predicted a cache supplier.
+    clusters: Option<(usize, u64)>,
+    grant: Cycle,
+    predicted_cached: bool,
+    /// Home arm: the lookup was bypassed.
+    bypassed: bool,
+    /// Data arrival and path, set by the before-fill hook.
+    done: Cycle,
+    path: PathTag,
+}
+
+impl Live<'_> {
+    /// Whether `other` sits in a remote cluster the cluster filter
+    /// skipped.
+    fn skipped(&self, other: usize) -> bool {
+        self.clusters.is_some_and(|(mine, visit)| {
+            let c = self.ms.topo.cluster_of(CoreId(other));
+            c != mine && visit & (1 << c) == 0
+        })
+    }
+
+    /// The complete-locally arm: no interconnect traffic at all.
+    fn complete_locally(&mut self) -> Cycle {
+        let (core, now) = (self.core, self.now);
+        self.ms.metrics.local.record(RequestCategory::of(self.req));
+        self.ms.check_direct_decision(core, self.req, self.line);
+        request::complete_locally(self, core.0, self.line, self.req);
+        if self.req == ReqKind::Dcbz {
+            let elided = EventKind::DcbzElided { line: self.line.0 };
+            self.ms.trace_unkeyed(core, now, elided);
+        }
+        self.ms.trace_retire(self.tid, now, PathTag::Local);
+        now
+    }
+
+    /// The bus machines' direct-to-memory arm: a point-to-point request
+    /// to the region's controller.
+    fn direct(&mut self) -> Cycle {
+        let core = self.core;
+        self.ms.metrics.direct.record(RequestCategory::of(self.req));
+        // Safety net: a direct request must never be issued when the
+        // broadcast was actually required — the CGCT-transparency
+        // invariant. Always on in debug builds, and in release builds
+        // under the sanitizer.
+        self.ms.check_direct_decision(core, self.req, self.line);
+        let out = request::direct(self, core.0, self.line, self.req);
+        if self.req == ReqKind::Writeback {
+            return self.writeback(PathTag::Direct);
+        }
+        if out.fill.is_some() {
+            self.ms.metrics.memory_fills += u64::from(self.req.needs_data());
+            self.ms.trace_ev(self.tid, self.done, EventKind::Fill);
+            self.done = self.ms.reserve_data_port(core, self.done);
+        }
+        self.ms.trace_retire(self.tid, self.done, PathTag::Direct);
+        self.done
+    }
+
+    /// A write-back delivered point-to-point to the controller,
+    /// fire-and-forget.
+    fn writeback(&mut self, path: PathTag) -> Cycle {
+        let ms = &mut *self.ms;
+        let _ = ms.reserve_data_port(self.core, self.now);
+        let arrive = self.now + ms.cfg.latency.direct_request(self.dist);
+        ms.mcs[self.mc.0].start_access_event(arrive, &mut ms.events, None);
+        ms.trace_retire(self.tid, self.now, path);
+        self.now
+    }
+
+    /// The broadcast arm of the flat bus and the cluster hierarchy.
+    fn broadcast(&mut self, prefetch: bool) -> Cycle {
+        let (core, now, req, line, region) =
+            (self.core, self.now, self.req, self.line, self.region);
+        let ms = &mut *self.ms;
+        // §6 extension: for data reads into an externally-dirty region,
+        // probe the predicted owner point-to-point first; a hit is a
+        // two-hop cache-to-cache transfer with no broadcast at all.
+        if ms.cfg.owner_prediction && req == ReqKind::Read && !prefetch {
+            if let Some(done) = ms.try_owner_predicted_read(core, now, line, region) {
+                ms.trace_retire(self.tid, done, PathTag::OwnerPredicted);
+                return done;
+            }
+        }
+        // §6 extension: the region state predicts whether the data will
+        // come from another cache, letting the memory controller skip
+        // its speculative DRAM access.
+        self.predicted_cached = ms.cfg.dram_speculation_filter
+            && ms.nodes[core.0]
+                .tracker
+                .region_state(region)
+                .is_some_and(|s| s.is_externally_dirty());
+        // The hierarchical machine is the flat bus split into cluster
+        // buses: the requester's own cluster is always snooped, and
+        // `visit` masks the remote clusters that the inter-cluster
+        // region directory records as caching lines of the region.
+        self.clusters = ms.cluster_dir.as_ref().map(|dir| {
+            let (mine, others) = (ms.topo.cluster_of(core), ms.topo.clusters() - 1);
+            let visit = (0..=others)
+                .filter(|&c| c != mine && dir.count(region, c) > 0)
+                .fold(0u64, |mask, c| mask | 1 << c);
+            ms.metrics.cluster_snoops_filtered += (others - visit.count_ones() as usize) as u64;
+            if visit == 0 {
+                ms.metrics.cluster_local_requests += 1;
+            } else {
+                ms.metrics.cross_cluster_requests += 1;
+            }
+            (mine, visit)
+        });
+        let bus = match self.clusters {
+            Some((mine, _)) => &mut ms.cluster_buses[mine],
+            None => &mut ms.bus,
+        };
+        let grant = bus.grant_event(now, &mut ms.events, trace_arg!(ms, self.tid));
+        ms.metrics.broadcasts += 1;
+        ms.metrics
+            .traffic
+            .record(grant.saturating_sub(ms.metrics_epoch.0));
+        // The local snoop resolves first; each visited remote cluster's
+        // snoop is launched off the local grant and pays a cross-machine
+        // hop each way (plus that cluster's own bus arbitration).
+        let mut snoop_done = grant + ms.cfg.latency.snoop_cpu();
+        let hop = ms.cfg.latency.direct_request(DistanceClass::Remote);
+        let mut remote = self.clusters.map_or(0, |(_, visit)| visit);
+        while remote != 0 {
+            let c = remote.trailing_zeros() as usize;
+            remote &= remote - 1;
+            let remote_grant = ms.cluster_buses[c].grant_event(grant + hop, &mut ms.events, None);
+            snoop_done = snoop_done.max(remote_grant + ms.cfg.latency.snoop_cpu() + hop);
+        }
+        ms.events.schedule(snoop_done, MemEvent::SnoopComplete);
+        (self.grant, self.resolved) = (grant, snoop_done);
+        // Sanitizer: a skipped cluster must cache nothing of the region —
+        // the filter may only skip true negatives. The snoop never
+        // reaches a skipped node, so checking before it is the same.
+        if self.clusters.is_some() && (cfg!(debug_assertions) || self.ms.sanitize) {
+            for other in (0..self.ms.nodes.len()).filter(|&o| self.skipped(o)) {
+                let cached = self.ms.nodes[other].count_region_lines(self.ms.geom, region);
+                if cached > 0 {
+                    panic!(
+                        "coherence sanitizer: cluster filter skipped cluster {} but \
+                         node {other} caches {cached} line(s) of {region}",
+                        self.ms.topo.cluster_of(CoreId(other))
+                    );
+                }
+            }
+        }
+        let out = request::broadcast(self, core.0, line, req);
+        // Oracle classification (Figure 2) on what was broadcast.
+        if classify(req, out.line_resp).unnecessary {
+            self.ms.metrics.unnecessary.record(RequestCategory::of(req));
+        }
+        self.ms.trace_retire(self.tid, self.done, self.path);
+        self.done
+    }
+
+    /// Data movement of a broadcast. The baseline memory controller
+    /// starts the DRAM access speculatively in parallel with the snoop
+    /// (Figure 6); if an owner cache supplies the data that access was
+    /// wasted — unless the region-state predictor suppressed it (§6
+    /// extension). Data cannot be handed over before every visited
+    /// cluster's snoop response is in; on the flat bus that bound never
+    /// binds. The flat bus tags the data source, the hierarchy how far
+    /// the snoop reached.
+    fn broadcast_data(&mut self, out: &Outcome) {
+        let ms = &mut *self.ms;
+        let (core, mc, tid) = (self.core, self.mc, self.tid);
+        let (grant, snoop_done) = (self.grant, self.resolved);
+        // Remember who supplied dirty data: the owner hint feeds the §6
+        // owner predictor.
+        if let Some(owner) = out.supplier {
+            ms.nodes[core.0]
+                .tracker
+                .record_supplier(self.region, owner as u8);
+        }
+        let clusters = self.clusters;
+        let path = |flat: PathTag| match clusters {
+            None => flat,
+            Some((_, 0)) => PathTag::ClusterLocal,
+            Some(_) => PathTag::ClusterRemote,
+        };
+        (self.done, self.path) = if self.req.needs_data() {
+            if let Some(owner) = out.supplier.map(CoreId) {
+                ms.metrics.cache_to_cache += 1;
+                if self.predicted_cached {
+                    ms.metrics.dram_speculation_saved += 1;
+                } else {
+                    ms.metrics.dram_speculation_wasted += 1;
+                    // Wasted speculative access: off the critical path,
+                    // so it leaves no trace milestone.
+                    ms.mcs[mc.0].start_access_event(grant, &mut ms.events, None);
+                }
+                let d = ms.topo.core_distance(core, owner);
+                let supplied = (grant + ms.cfg.latency.cache_to_cache(d)).max(snoop_done);
+                let _ = ms.reserve_data_port(owner, supplied);
+                ms.trace_ev(tid, supplied, EventKind::Fill);
+                (
+                    ms.reserve_data_port(core, supplied),
+                    path(PathTag::BroadcastCache),
+                )
+            } else {
+                ms.metrics.memory_fills += 1;
+                // A wrong "cached" prediction must restart the DRAM
+                // access after the snoop resolves.
+                let dram_at = if self.predicted_cached {
+                    snoop_done
+                } else {
+                    grant
+                };
+                let dram_start =
+                    ms.mcs[mc.0].start_access_event(dram_at, &mut ms.events, trace_arg!(ms, tid));
+                let latency = ms.cfg.latency;
+                ms.trace_ev(
+                    tid,
+                    dram_start + latency.dram.as_cpu_cycles(),
+                    EventKind::DramDone,
+                );
+                let base = if self.predicted_cached {
+                    // Serialized: full snoop, then full DRAM+transfer.
+                    latency.snoop_cpu()
+                        + latency.dram.as_cpu_cycles()
+                        + latency.transfer_cpu(self.dist)
+                } else {
+                    latency.snoop_memory_access(self.dist)
+                };
+                let arrived = (grant + base + (dram_start - dram_at)).max(snoop_done);
+                ms.trace_ev(tid, arrived, EventKind::Fill);
+                (
+                    ms.reserve_data_port(core, arrived),
+                    path(PathTag::BroadcastMemory),
+                )
+            }
+        } else if self.req == ReqKind::Writeback {
+            let _ = ms.reserve_data_port(core, self.now);
+            ms.mcs[mc.0].start_access_event(snoop_done, &mut ms.events, None);
+            (self.now, path(PathTag::BroadcastControl))
+        } else {
+            (snoop_done, path(PathTag::BroadcastControl))
+        };
+    }
+
+    /// The directory machines' home arm: every request travels
+    /// point-to-point to the line's home controller; owned lines are
+    /// forwarded (three hops), everything else is served from memory.
+    ///
+    /// The home lookup is itself a DRAM access (full-map state lives in
+    /// memory, as in the SGI Origin), and memory-sourced fills pay a
+    /// *second*, serialized DRAM access for the data. A region claim
+    /// (`Upkeep::DirectFill`) or the home's region-grain directory
+    /// cache can prove the lookup redundant; then only the request hop
+    /// is charged. The per-line directory is updated either way: the
+    /// bypass is a latency optimization, never a bookkeeping one.
+    fn home(&mut self, upkeep: Upkeep) -> Cycle {
+        let (core, req, line) = (self.core, self.req, self.line);
+        if upkeep == Upkeep::DirectFill {
+            // §5 direct-to-memory, directory flavor.
+            self.ms.check_direct_decision(core, req, line);
+        }
+        self.ms.metrics.direct.record(RequestCategory::of(req));
+        let out = request::home(self, upkeep, core.0, line, req);
+        if req == ReqKind::Writeback {
+            return self.writeback(PathTag::DirectoryControl);
+        }
+        // Invalidations travel home -> target -> home.
+        let (ms, mc) = (&*self.ms, self.mc);
+        let hop = |t: u8| {
+            ms.cfg
+                .latency
+                .direct_request(ms.topo.distance(CoreId(t as usize), mc))
+        };
+        let targets = out.home.as_ref().map_or(&[][..], |(a, _)| a.invalidate());
+        let others = targets.iter().filter(|&&t| t as usize != core.0);
+        let inval_latency = others.map(|&t| 2 * hop(t)).fold(0, u64::max);
+        let done = self.done.max(self.resolved + inval_latency);
+        self.ms.trace_retire(self.tid, done, self.path);
+        done
+    }
+
+    /// Data movement at the home, after the forward (if any) applied.
+    fn home_data(&mut self, out: &Outcome) {
+        let Some((action, _)) = &out.home else {
+            return;
+        };
+        let ms = &mut *self.ms;
+        let (core, mc, tid, dir_done) = (self.core, self.mc, self.tid, self.resolved);
+        let dram = ms.cfg.latency.dram.as_cpu_cycles();
+        (self.done, self.path) = match action {
+            DirAction::ForwardToOwner { owner, .. } => {
+                let o = CoreId(*owner as usize);
+                let fwd = ms.cfg.latency.direct_request(ms.topo.distance(o, mc));
+                if out.owner_live {
+                    // Three-hop transfer: home -> owner -> requester.
+                    ms.metrics.cache_to_cache += 1;
+                    ms.metrics.three_hop_transfers += 1;
+                    let supply = ms.cfg.hierarchy.l2.latency
+                        + ms.cfg.latency.transfer_cpu(ms.topo.core_distance(core, o));
+                    let supplied = dir_done + fwd + supply;
+                    let _ = ms.reserve_data_port(o, supplied);
+                    ms.trace_ev(tid, supplied, EventKind::Fill);
+                    (
+                        ms.reserve_data_port(core, supplied),
+                        PathTag::DirectoryForwarded,
+                    )
+                } else {
+                    // Stale owner (silently evicted a clean E copy): the
+                    // home retries from memory after the failed forward.
+                    let dram_start =
+                        ms.mcs[mc.0].start_access_event(dir_done + 2 * fwd, &mut ms.events, None);
+                    ms.metrics.memory_fills += u64::from(self.req.needs_data());
+                    (
+                        dram_start + dram + ms.cfg.latency.transfer_cpu(self.dist),
+                        PathTag::DirectoryMemory,
+                    )
+                }
+            }
+            DirAction::FromMemory { .. } if self.req.needs_data() => {
+                // The data is its own DRAM access, serialized after the
+                // directory lookup — or started at once when the lookup
+                // was bypassed.
+                ms.metrics.memory_fills += 1;
+                let dram_start =
+                    ms.mcs[mc.0].start_access_event(dir_done, &mut ms.events, trace_arg!(ms, tid));
+                let arrived = dram_start + dram + ms.cfg.latency.transfer_cpu(self.dist);
+                ms.trace_ev(tid, arrived, EventKind::Fill);
+                let path = if self.bypassed {
+                    PathTag::DirectoryBypassed
+                } else {
+                    PathTag::DirectoryMemory
+                };
+                (ms.reserve_data_port(core, arrived), path)
+            }
+            // No data moves for upgrades and invalidate-only requests;
+            // keep them out of the memory/bypassed fill populations so
+            // those two differ only by the lookup DRAM access.
+            _ => (dir_done, PathTag::DirectoryControl),
+        };
+    }
+}
+
+impl Store for Live<'_> {
+    fn machine(&self) -> Machine {
+        match self.ms.cfg.mode {
+            CoherenceMode::Directory => Machine::Directory,
+            CoherenceMode::DirectoryCgct { .. } => Machine::DirectoryCgct,
+            _ => Machine::Bus,
+        }
+    }
+
+    fn line(&self, node: usize, line: LineAddr) -> MoesiState {
+        self.ms.l2_state(CoreId(node), line)
+    }
+
+    /// With the RCA-holder mask and no Jetty filter, every visible
+    /// node's tag lookup is counted but only the region's RCA holders
+    /// are probed: any other node caches no line of the region, so its
+    /// lookup would find Invalid and change nothing.
+    fn probes(&mut self, requester: usize) -> Visit {
+        let ms = &mut *self.ms;
+        match &ms.holders {
+            Some(holders) if !ms.cfg.jetty_filter => {
+                let visible = match self.clusters {
+                    None => low_nodes(ms.nodes.len()),
+                    // Clusters are equal runs of consecutive nodes.
+                    Some((mine, visit)) => {
+                        let per = ms.nodes.len() / ms.topo.clusters();
+                        Visit::Mask(visit | 1 << mine)
+                            .fold(0, |m, c| m | low_nodes(per) << (c * per))
+                    }
+                } & !(1 << requester);
+                ms.metrics.snooped_tag_lookups += u64::from(visible.count_ones());
+                Visit::Mask(holders.mask(self.region) & visible)
+            }
+            _ => Visit::All(0..ms.nodes.len()),
+        }
+    }
+
+    fn snoop_state(&mut self, node: usize, line: LineAddr) -> Option<MoesiState> {
+        if self.skipped(node) {
+            return None;
+        }
+        let ms = &mut *self.ms;
+        // Jetty (if fitted) may prove the line absent and skip the tag
+        // lookup; a correct filter never skips a line that is cached.
+        if let Some(jetty) = &mut ms.nodes[node].jetty {
+            if !jetty.maybe_present(line) {
+                ms.metrics.jetty_filtered_lookups += 1;
+                debug_assert!(
+                    !ms.nodes[node].l2.contains(line.0),
+                    "jetty false negative at node {node}"
+                );
+                return None;
+            }
+        }
+        // Without the mask `probes` counted no lookup up front.
+        if ms.holders.is_none() || ms.cfg.jetty_filter {
+            ms.metrics.snooped_tag_lookups += 1;
+        }
+        Some(ms.l2_state(CoreId(node), line))
+    }
+
+    fn snooped(&mut self, node: usize, line: LineAddr, next: MoesiState, _req: ReqKind) {
+        self.ms
+            .apply_snooped_transition(node, line, next, self.region);
+    }
+
+    fn fill(&mut self, node: usize, line: LineAddr, state: MoesiState) {
+        self.ms.fill_l2(CoreId(node), line, state, self.now);
+    }
+
+    fn permission(&mut self, node: usize, req: ReqKind) -> RegionPermission {
+        let permission = self.ms.nodes[node].tracker.permission(self.region, req);
+        if req == ReqKind::Writeback && !self.ms.cfg.direct_writebacks {
+            RegionPermission::Broadcast
+        } else {
+            permission
+        }
+    }
+
+    fn local_fill(&mut self, node: usize, fill: FillKind, resp: Option<MergedRegionResp>) {
+        let (region, mc, now) = (self.region, self.mc, self.now);
+        self.ms
+            .rca_local_complete(CoreId(node), region, fill, resp, mc, now);
+    }
+
+    /// Only the region's RCA holders where the mask is kept: a node with
+    /// no entry answers nothing and changes nothing.
+    fn region_peers(&mut self, requester: usize) -> Visit {
+        match &self.ms.holders {
+            Some(holders) => Visit::Mask(holders.mask(self.region) & !(1 << requester)),
+            None => Visit::All(0..self.ms.nodes.len()),
+        }
+    }
+
+    fn external(&mut self, node: usize, req: ReqKind, fill_exclusive: bool) -> MergedRegionResp {
+        let (region, when) = (self.region, self.resolved);
+        self.ms
+            .tracker_external(node, region, req, fill_exclusive, when)
+    }
+
+    fn home_handle(&mut self, node: usize, line: LineAddr, req: ReqKind) -> (DirAction, bool) {
+        self.ms.directories[self.mc.0].handle(line, node as u8, req.into())
+    }
+
+    fn refresh_home(&mut self, _line: LineAddr) {
+        self.ms.refresh_region_dir_cache(self.mc, self.region);
+    }
+
+    fn home_mask(&mut self, _line: LineAddr) -> Option<u64> {
+        self.ms.region_dir_caches[self.mc.0].lookup(self.region)
+    }
+
+    fn line_snoop_done(&mut self, out: &Outcome) {
+        let owner = out.supplier.is_some();
+        self.ms
+            .trace_ev(self.tid, self.resolved, EventKind::SnoopDone { owner });
+    }
+
+    fn home_done(&mut self, action: &DirAction, bypassed: bool) {
+        if bypassed {
+            self.ms
+                .assert_bypass_clean(self.core, self.req, self.line, action);
+        }
+        if self.arm == Arm::Local {
+            return;
+        }
+        let ms = &mut *self.ms;
+        let req_hop = ms.cfg.latency.direct_request(self.dist);
+        ms.trace_ev(self.tid, self.now + req_hop, EventKind::HopDone);
+        let at = (self.now + req_hop).align_to_system_clock();
+        self.bypassed = bypassed;
+        self.resolved = if bypassed {
+            // Region knowledge proved nobody else holds the region: the
+            // per-line directory lookup never happens on the wire.
+            ms.metrics.dir_bypasses += 1;
+            at
+        } else {
+            ms.metrics.dir_lookups += 1;
+            let start =
+                ms.mcs[self.mc.0].start_access_event(at, &mut ms.events, trace_arg!(ms, self.tid));
+            let done = start + ms.cfg.latency.dram.as_cpu_cycles();
+            ms.trace_ev(self.tid, done, EventKind::DramDone);
+            done
+        };
+    }
+
+    fn before_fill(&mut self, out: &Outcome) {
+        match self.arm {
+            Arm::Direct => {
+                let ms = &mut *self.ms;
+                let arrive = self.now + ms.cfg.latency.direct_request(self.dist);
+                ms.trace_ev(self.tid, arrive, EventKind::HopDone);
+                let dram_start = ms.mcs[self.mc.0].start_access_event(
+                    arrive.align_to_system_clock(),
+                    &mut ms.events,
+                    trace_arg!(ms, self.tid),
+                );
+                let dram_done = dram_start + ms.cfg.latency.dram.as_cpu_cycles();
+                ms.trace_ev(self.tid, dram_done, EventKind::DramDone);
+                self.done = dram_done + ms.cfg.latency.transfer_cpu(self.dist);
+            }
+            Arm::Broadcast => self.broadcast_data(out),
+            Arm::Home(_) => self.home_data(out),
+            Arm::Local => {}
+        }
+    }
 }
 
 /// One fact about a region of the live machine.

@@ -118,7 +118,7 @@ pub fn explore(cfg: &ModelConfig) -> ExploreResult {
         for &event in &events {
             transitions += 1;
             working.clone_from(&base);
-            working.step(cfg, event);
+            working.step(event);
             let next_key = working.encode();
             let Entry::Vacant(slot) = parents.entry(next_key) else {
                 continue;

@@ -3,35 +3,29 @@
 //!
 //! A model state keeps, per node, the MOESI state of every line plus the
 //! node's region entry (state and cached-line count). The *transition
-//! function* is not re-implemented here: every step drives the real
-//! protocol code —
+//! function* is not re-implemented here: a request is stepped by the
+//! simulator's own request core, [`cgct_system::request`], the same
+//! permission arms `cgct_system::MemorySystem` runs, so it is sequenced
+//! exactly as the live request by construction. The working machine
+//! (`Working`) is that core's store here: concrete line states, a
+//! real [`RegionCoherenceArray`] per node (its entry rebuilt from the
+//! abstract node state before every step) and, on the directory machine,
+//! a real [`DirectoryController`]. A bug in the transition functions or
+//! in their sequencing therefore shows up here as a reachable invariant
+//! violation.
 //!
-//! * [`cgct_cache::snoop_line`] / [`cgct_cache::requester_next_state`]
-//!   for the line grain,
-//! * a real [`RegionCoherenceArray`] (its entry rebuilt from the
-//!   abstract node state before every step, then stepped through [`RegionCoherenceArray::permission`],
-//!   [`RegionCoherenceArray::local_fill`],
-//!   [`RegionCoherenceArray::external_request`],
-//!   [`RegionCoherenceArray::line_cached`] /
-//!   [`RegionCoherenceArray::line_uncached`]) for the region grain —
-//!
-//! sequenced exactly as `cgct_system::MemorySystem::coherent_request`
-//! sequences them (snoop lines, classify, region snoop, requester fill).
-//! A bug in the transition functions or in their sequencing therefore
-//! shows up here as a reachable invariant violation.
-//!
-//! The [`Mutation`] hook deliberately mis-wires one step of that
-//! sequencing so tests can prove the checker detects broken protocols.
+//! The [`Mutation`] hook deliberately mis-wires one part of the store
+//! (permission, snooped transition, region-external, home refresh or
+//! cluster visibility) so tests can prove the checker detects broken
+//! protocols; the core takes no fault, so the simulator cannot run one.
 
 use cgct::{
     ExternalPart, FillKind, LocalPart, RcaConfig, RegionCoherenceArray, RegionPermission,
     RegionSnoopResponse, RegionState,
 };
-use cgct_cache::{
-    requester_next_state, snoop_line, Geometry, LineAddr, LineSnoopResponse, MoesiState,
-    RegionAddr, ReqKind,
-};
+use cgct_cache::{Geometry, LineAddr, MoesiState, RegionAddr, ReqKind};
 use cgct_system::directory::{DirAction, DirEntry, DirectoryController};
+use cgct_system::request::{request, Machine, MergedRegionResp, Store, Visit};
 use std::fmt;
 
 /// The single region every model run revolves around.
@@ -239,8 +233,11 @@ pub enum Mutation {
     OverclaimExclusive,
     /// The home's region-grain directory cache is installed once and
     /// never refreshed after directory updates: a stale mask can
-    /// wrongly prove the region unshared and authorize a lookup bypass
-    /// that skips a needed invalidation ([`Protocol::DirectoryCgct`]).
+    /// wrongly prove the region unshared and bypass the lookup. As in
+    /// the live home, a bypass skips only the lookup's DRAM access,
+    /// never an invalidation, so the fault shows as a cache mask that
+    /// disagrees with the per-line entries (I6;
+    /// [`Protocol::DirectoryCgct`]).
     StaleRegionDirCache,
     /// The inter-cluster region directory reports every remote cluster
     /// empty: line-grain snoops never leave the requester's cluster, so
@@ -571,6 +568,7 @@ pub(crate) fn enabled_events_into(cfg: &ModelConfig, state: &GlobalState, events
 /// copies that base into one stepping machine with `clone_from`, which
 /// reuses the stepping machine's allocations.
 pub(crate) struct Working {
+    cfg: ModelConfig,
     lines: Vec<Vec<MoesiState>>,
     rcas: Vec<RegionCoherenceArray>,
     home: Option<HomeDir>,
@@ -579,6 +577,7 @@ pub(crate) struct Working {
 impl Clone for Working {
     fn clone(&self) -> Self {
         Working {
+            cfg: self.cfg,
             lines: self.lines.clone(),
             rcas: self.rcas.clone(),
             home: self.home.clone(),
@@ -586,6 +585,7 @@ impl Clone for Working {
     }
 
     fn clone_from(&mut self, source: &Self) {
+        self.cfg = source.cfg;
         self.lines.clone_from(&source.lines);
         self.rcas.clone_from(&source.rcas);
         self.home.clone_from(&source.home);
@@ -625,6 +625,7 @@ impl Working {
     /// gives it a state.
     pub(crate) fn new(cfg: &ModelConfig) -> Working {
         Working {
+            cfg: *cfg,
             lines: vec![vec![MoesiState::Invalid; cfg.lines]; cfg.nodes],
             rcas: (0..cfg.nodes)
                 .map(|_| RegionCoherenceArray::new(cfg.rca_config()))
@@ -727,15 +728,16 @@ impl Working {
     }
 
     /// Takes `event` (enabled in the loaded state) in place.
-    pub(crate) fn step(&mut self, cfg: &ModelConfig, event: Event) {
+    pub(crate) fn step(&mut self, event: Event) {
+        let at = |line: usize| LineAddr(line as u64);
         match event {
             Event::Load { node, line } => {
                 debug_assert_eq!(self.lines[node][line], MoesiState::Invalid);
-                self.request(cfg, node, line, ReqKind::Read);
+                request(self, node, at(line), ReqKind::Read);
             }
             Event::Ifetch { node, line } => {
                 debug_assert_eq!(self.lines[node][line], MoesiState::Invalid);
-                self.request(cfg, node, line, ReqKind::ReadShared);
+                request(self, node, at(line), ReqKind::ReadShared);
             }
             Event::Store { node, line } => match self.lines[node][line] {
                 MoesiState::Modified => unreachable!("store hit on M is not a step"),
@@ -744,11 +746,11 @@ impl Working {
                     self.lines[node][line] = MoesiState::Modified;
                 }
                 MoesiState::Shared | MoesiState::Owned => {
-                    self.request(cfg, node, line, ReqKind::Upgrade);
+                    request(self, node, at(line), ReqKind::Upgrade);
                     self.lines[node][line] = MoesiState::Modified;
                 }
                 MoesiState::Invalid => {
-                    self.request(cfg, node, line, ReqKind::ReadExclusive);
+                    request(self, node, at(line), ReqKind::ReadExclusive);
                 }
             },
             Event::Dcbz { node, line } => match self.lines[node][line] {
@@ -757,7 +759,7 @@ impl Working {
                     self.lines[node][line] = MoesiState::Modified;
                 }
                 _ => {
-                    self.request(cfg, node, line, ReqKind::Dcbz);
+                    request(self, node, at(line), ReqKind::Dcbz);
                 }
             },
             Event::EvictLine { node, line } => {
@@ -768,7 +770,7 @@ impl Working {
                 self.lines[node][line] = MoesiState::Invalid;
                 self.rcas[node].line_uncached(REGION);
                 if state.is_dirty() {
-                    self.request(cfg, node, line, ReqKind::Writeback);
+                    request(self, node, at(line), ReqKind::Writeback);
                 }
             }
             Event::EvictRegion { node } => {
@@ -776,338 +778,133 @@ impl Working {
                 // `flush_region` pushes every cached line out (dirty lines go
                 // straight to the recorded controller — no snooping).
                 self.rcas[node].invalidate(REGION);
-                for line in 0..cfg.lines {
-                    self.lines[node][line] = MoesiState::Invalid;
-                }
+                self.lines[node].fill(MoesiState::Invalid);
             }
         }
     }
 
-    /// Runs the home directory's real transition for `req` and
-    /// refreshes the region-grain directory cache. The faithful system
-    /// recomputes the mask after *every* directory update; the
-    /// stale-region-dir-cache mutation installs it once and never
-    /// refreshes.
-    fn home_handle(
-        &mut self,
-        cfg: &ModelConfig,
-        requester: usize,
-        line: usize,
-        req: ReqKind,
-    ) -> (DirAction, bool) {
-        let lines_per_node = self.lines[0].len();
-        let home = self.home.as_mut().expect("directory protocol");
-        let out = home
-            .dir
-            .handle(LineAddr(line as u64), requester as u8, req.into());
-        if cfg.mutation != Mutation::StaleRegionDirCache || home.cache_mask.is_none() {
-            home.cache_mask = Some(
-                home.dir
-                    .region_mask((0..lines_per_node as u64).map(LineAddr)),
-            );
+    /// The home controller (directory protocol only).
+    fn home_mut(&mut self) -> &mut HomeDir {
+        self.home.as_mut().expect("directory protocol")
+    }
+}
+
+/// The checker's store: the request core steps the working machine
+/// exactly as it steps the live memory system. The seeded faults are
+/// injected here, one per store part, so the core cannot express one.
+impl Store for Working {
+    fn machine(&self) -> Machine {
+        match self.cfg.protocol {
+            Protocol::DirectoryCgct => Machine::DirectoryCgct,
+            Protocol::Snoop | Protocol::Hierarchical => Machine::Bus,
         }
-        out
     }
 
-    /// Which nodes see a line-grain snoop from `requester`: everyone on
-    /// the flat bus; on the hierarchical machine only the requester's
-    /// cluster plus clusters caching at least one line of the region.
-    /// The cluster counts are derived exactly from the line states —
-    /// the same truth the live system maintains incrementally and its
-    /// sanitizer checks. This mirrors the live broadcast arm's cluster
-    /// mask (`visit`), which is likewise only a visibility filter.
-    fn snoop_visibility(&self, cfg: &ModelConfig, requester: usize) -> u64 {
-        let nodes = self.lines.len();
+    fn line(&self, node: usize, line: LineAddr) -> MoesiState {
+        self.lines[node][line.0 as usize]
+    }
+
+    /// Everyone on the flat bus; on the hierarchical machine the
+    /// requester's cluster plus the clusters caching a line of the
+    /// region, derived exactly from the line states (the truth the live
+    /// system keeps incrementally and its sanitizer checks).
+    fn probes(&mut self, requester: usize) -> Visit {
+        let (cfg, nodes) = (&self.cfg, self.lines.len());
         if cfg.protocol != Protocol::Hierarchical || cfg.clusters <= 1 {
-            return (1 << nodes) - 1;
+            return Visit::All(0..nodes);
         }
-        let my_cluster = cfg.cluster_of(requester);
-        (0..nodes)
-            .filter(|&other| {
-                let c = cfg.cluster_of(other);
-                if c == my_cluster {
-                    return true;
-                }
-                if cfg.mutation == Mutation::SkipClusterInvalidation {
-                    // FAULT: the inter-cluster directory reports every
-                    // remote cluster empty.
-                    return false;
-                }
-                (0..nodes)
-                    .any(|n| cfg.cluster_of(n) == c && self.lines[n].iter().any(|s| s.is_valid()))
-            })
-            .fold(0, |mask, other| mask | 1 << other)
+        let caches = |c: usize| {
+            (0..nodes).any(|n| cfg.cluster_of(n) == c && self.lines[n].iter().any(|s| s.is_valid()))
+        };
+        // FAULT (skip-cluster-invalidation): the inter-cluster directory
+        // reports every remote cluster empty.
+        let remote_seen = cfg.mutation != Mutation::SkipClusterInvalidation;
+        let mine = cfg.cluster_of(requester);
+        Visit::Mask(
+            (0..nodes)
+                .filter(|&o| {
+                    cfg.cluster_of(o) == mine || (remote_seen && caches(cfg.cluster_of(o)))
+                })
+                .fold(0, |mask, o| mask | 1 << o),
+        )
     }
 
-    /// Region snoop responses from every other node (step 3 of the bus
-    /// sequence; in the directory and hierarchical machines the same
-    /// notifications are relayed through the home's region directory
-    /// and reach every node).
-    fn region_external_all(
-        &mut self,
-        cfg: &ModelConfig,
-        requester: usize,
-        req: ReqKind,
-        fill_exclusive: bool,
-    ) -> RegionSnoopResponse {
-        let mut region_resp = RegionSnoopResponse::NONE;
-        for other in 0..self.lines.len() {
-            if other == requester {
-                continue;
-            }
-            if cfg.mutation == Mutation::SkipExternalDowngrade {
-                continue; // FAULT: regions never see external traffic
-            }
-            region_resp.merge(self.rcas[other].external_request(REGION, req, fill_exclusive));
+    fn snooped(&mut self, node: usize, line: LineAddr, next: MoesiState, req: ReqKind) {
+        if self.cfg.mutation == Mutation::KeepStaleSharers && req.invalidates_others() {
+            return; // FAULT: the snooper ignores the invalidation
         }
-        region_resp
+        self.lines[node][line.0 as usize] = next;
+        // FAULT (leak-line-count): the invalidation skips the count.
+        if next == MoesiState::Invalid && self.cfg.mutation != Mutation::LeakLineCount {
+            self.rcas[node].line_uncached(REGION);
+        }
     }
 
-    /// Issues a coherence-point request, mirroring the permission arms
-    /// of `MemorySystem::coherent_request` (one broadcast arm for the
-    /// flat bus and the hierarchy) and
-    /// `MemorySystem::directory_cgct_request` (atomic-interconnect
-    /// model).
-    fn request(&mut self, cfg: &ModelConfig, requester: usize, line: usize, req: ReqKind) {
-        if cfg.protocol == Protocol::DirectoryCgct && req == ReqKind::Writeback {
-            // Write-backs travel point-to-point to the home in every
-            // directory machine, before any permission check; the home
-            // drops the write-back issuer's ownership.
-            self.home_handle(cfg, requester, line, req);
-            return;
+    /// Inclusion bookkeeping on a new allocation only, as
+    /// `MemorySystem::fill_l2` does.
+    fn fill(&mut self, node: usize, line: LineAddr, state: MoesiState) {
+        let slot = &mut self.lines[node][line.0 as usize];
+        let newly_cached = *slot == MoesiState::Invalid;
+        *slot = state;
+        if newly_cached {
+            self.rcas[node].line_cached(REGION);
         }
-        let mut permission = self.rcas[requester].permission(REGION, req);
-        if cfg.mutation == Mutation::OverclaimExclusive
+    }
+
+    fn permission(&mut self, node: usize, req: ReqKind) -> RegionPermission {
+        let permission = self.rcas[node].permission(REGION, req);
+        if self.cfg.mutation == Mutation::OverclaimExclusive
             && permission == RegionPermission::Broadcast
-            && self.rcas[requester].state(REGION).is_externally_clean()
+            && self.rcas[node].state(REGION).is_externally_clean()
         {
             // FAULT: pretend Table 1 lets every request in a CC/DC
             // region skip the broadcast (only shared reads may).
-            permission = match req {
+            return match req {
                 ReqKind::Upgrade | ReqKind::Dcbz => RegionPermission::CompleteLocally,
                 _ => RegionPermission::DirectToMemory,
             };
         }
-        match permission {
-            RegionPermission::CompleteLocally => {
-                if cfg.protocol == Protocol::DirectoryCgct {
-                    // The per-line directory still learns of the
-                    // request (the off-critical-path update message of
-                    // `directory_cgct_request`); the region claim
-                    // guarantees the returned action names no live
-                    // copy, so no coherence message is modeled — the
-                    // invariants prove that guarantee at every state.
-                    self.home_handle(cfg, requester, line, req);
-                }
-                self.rcas[requester].local_fill(REGION, FillKind::Exclusive, None, 0);
-                if req == ReqKind::Dcbz {
-                    self.fill(requester, line, MoesiState::Modified);
-                }
-                // Upgrades touch the line in the caller (as the store
-                // path does after `coherent_request` returns).
-            }
-            RegionPermission::DirectToMemory => {
-                if req == ReqKind::Writeback {
-                    return; // fire-and-forget to the recorded controller
-                }
-                if cfg.protocol == Protocol::DirectoryCgct {
-                    // The home still updates its entry, but the lookup
-                    // (and any directory-driven message) is bypassed;
-                    // the grant mirrors `directory_request`'s
-                    // exclusive flag — except that a shared read riding
-                    // an externally-clean claim must refuse an
-                    // exclusive grant (other nodes hold CC entries the
-                    // unannounced E copy would falsify; the checker
-                    // found exactly this trace).
-                    let (_, exclusive) = self.home_handle(cfg, requester, line, req);
-                    let fill_state = match req {
-                        ReqKind::ReadShared => MoesiState::Shared,
-                        ReqKind::Read => {
-                            if exclusive {
-                                MoesiState::Exclusive
-                            } else {
-                                MoesiState::Shared
-                            }
-                        }
-                        _ => MoesiState::Modified,
-                    };
-                    self.rcas[requester].local_fill(
-                        REGION,
-                        FillKind::from_moesi(fill_state),
-                        None,
-                        0,
-                    );
-                    self.fill(requester, line, fill_state);
-                    return;
-                }
-                let fill_state = match req {
-                    ReqKind::Read => MoesiState::Exclusive,
-                    ReqKind::ReadShared => MoesiState::Shared,
-                    _ => MoesiState::Modified,
-                };
-                let fill = FillKind::from_moesi(fill_state);
-                self.rcas[requester].local_fill(REGION, fill, None, 0);
-                self.fill(requester, line, fill_state);
-            }
-            RegionPermission::Broadcast if cfg.protocol == Protocol::DirectoryCgct => {
-                self.directory_broadcast(cfg, requester, line, req);
-            }
-            RegionPermission::Broadcast => {
-                // 1. Snoop every other visible node's line state (all of
-                //    them on the flat bus; cluster-filtered on the
-                //    hierarchical machine).
-                let visible = self.snoop_visibility(cfg, requester);
-                let mut line_resp = LineSnoopResponse::default();
-                for other in 0..self.lines.len() {
-                    if other == requester || visible & (1 << other) == 0 {
-                        continue;
-                    }
-                    let state = self.lines[other][line];
-                    let out = snoop_line(state, req);
-                    line_resp.merge(out.response);
-                    if out.next != state {
-                        if cfg.mutation == Mutation::KeepStaleSharers && req.invalidates_others() {
-                            // FAULT: the snooper ignores the invalidation.
-                            continue;
-                        }
-                        self.lines[other][line] = out.next;
-                        if out.next == MoesiState::Invalid
-                            && cfg.mutation != Mutation::LeakLineCount
-                        {
-                            self.rcas[other].line_uncached(REGION);
-                        }
-                    }
-                }
-                // 2. Requester fill state and its region consequence.
-                let fill_state = requester_next_state(req, line_resp);
-                let fill_exclusive = fill_state.is_some_and(|s| s.can_silently_modify());
-                // 3. Region snoop responses (after the line snoop, so a
-                //    now-empty region can self-invalidate). These are
-                //    machine-wide even on the hierarchical machine.
-                let region_resp = self.region_external_all(cfg, requester, req, fill_exclusive);
-                // 4. Requester's region entry (write-backs leave none).
-                if req != ReqKind::Writeback {
-                    let fill = fill_state.map_or(FillKind::Shared, FillKind::from_moesi);
-                    self.rcas[requester].local_fill(REGION, fill, Some(region_resp), 0);
-                }
-                // 5. Fill the line.
-                if let Some(state) = fill_state {
-                    self.fill(requester, line, state);
-                }
-            }
+        permission
+    }
+
+    fn local_fill(&mut self, node: usize, fill: FillKind, resp: Option<MergedRegionResp>) {
+        self.rcas[node].local_fill(REGION, fill, resp.map(|r| r.rca), 0);
+    }
+
+    /// Every node: the model keeps no holder mask.
+    fn region_peers(&mut self, _requester: usize) -> Visit {
+        Visit::All(0..self.lines.len())
+    }
+
+    fn external(&mut self, node: usize, req: ReqKind, fill_exclusive: bool) -> MergedRegionResp {
+        if self.cfg.mutation == Mutation::SkipExternalDowngrade {
+            return MergedRegionResp::default(); // FAULT: regions never see external traffic
+        }
+        let rca = self.rcas[node].external_request(REGION, req, fill_exclusive);
+        MergedRegionResp {
+            rca,
+            cached_bit: rca.any(),
         }
     }
 
-    /// The directory machine's no-claim path, mirroring
-    /// `directory_request` with `RegionUpkeep::FullExternal`: the home
-    /// consults (or, on a region-cache hit proving the region unshared,
-    /// skips) the per-line entry, drives the named caches, and relays
-    /// the region-grain outcome to every node.
-    fn directory_broadcast(
-        &mut self,
-        cfg: &ModelConfig,
-        requester: usize,
-        line: usize,
-        req: ReqKind,
-    ) {
-        // The lookup-bypass decision reads the region cache *before*
-        // this request's own update, exactly as the home does.
-        let skip = self
-            .home
-            .as_ref()
-            .expect("directory protocol")
-            .cache_mask
-            .is_some_and(|m| m & !(1u64 << requester) == 0);
-        let (action, exclusive) = self.home_handle(cfg, requester, line, req);
-        let (fwd_owner, invalidate) = match action {
-            DirAction::ForwardToOwner { owner, invalidate } => (Some(owner as usize), invalidate),
-            DirAction::FromMemory { invalidate } | DirAction::InvalidateOnly { invalidate } => {
-                (None, invalidate)
-            }
-        };
-        if !skip {
-            // Apply the directory's invalidations at the named caches —
-            // the directory machine's replacement for the bus snoop.
-            // Stale targets (silent clean evictions) hold nothing and
-            // are no-ops, as in the live system.
-            for target in invalidate {
-                let t = target as usize;
-                if t == requester || t >= self.lines.len() {
-                    continue;
-                }
-                if !self.lines[t][line].is_valid() {
-                    continue;
-                }
-                if cfg.mutation == Mutation::KeepStaleSharers && req.invalidates_others() {
-                    continue; // FAULT: the target ignores the invalidation
-                }
-                self.lines[t][line] = MoesiState::Invalid;
-                if cfg.mutation != Mutation::LeakLineCount {
-                    self.rcas[t].line_uncached(REGION);
-                }
-            }
-        }
-        // The requester's grant comes from the directory, not from
-        // merged snoop responses.
-        let fill_state = match req {
-            ReqKind::Read | ReqKind::ReadShared => {
-                if exclusive {
-                    MoesiState::Exclusive
-                } else {
-                    MoesiState::Shared
-                }
-            }
-            _ => MoesiState::Modified,
-        };
-        // Region upkeep runs at the home, *before* any three-hop
-        // forward reaches the owner (`directory_request` orders it the
-        // same way): an owner about to lose its only line still answers
-        // the region snoop as a holder, so its entry survives — stale
-        // but conservative — rather than self-invalidating.
-        let fill_exclusive = fill_state.can_silently_modify();
-        let region_resp = self.region_external_all(cfg, requester, req, fill_exclusive);
-        self.rcas[requester].local_fill(
-            REGION,
-            FillKind::from_moesi(fill_state),
-            Some(region_resp),
-            0,
-        );
-        if !skip {
-            if let Some(o) = fwd_owner {
-                if o != requester && o < self.lines.len() {
-                    let state = self.lines[o][line];
-                    if state.is_valid() {
-                        // Live owner: the forward applies the same
-                        // transition a bus snoop would.
-                        let out = snoop_line(state, req);
-                        if out.next != state
-                            && !(cfg.mutation == Mutation::KeepStaleSharers
-                                && req.invalidates_others())
-                        {
-                            self.lines[o][line] = out.next;
-                            if out.next == MoesiState::Invalid
-                                && cfg.mutation != Mutation::LeakLineCount
-                            {
-                                self.rcas[o].line_uncached(REGION);
-                            }
-                        }
-                    }
-                    // Stale owner: the home retries from memory —
-                    // no state change anywhere.
-                }
-            }
-        }
-        self.fill(requester, line, fill_state);
+    fn home_handle(&mut self, node: usize, line: LineAddr, req: ReqKind) -> (DirAction, bool) {
+        self.home_mut().dir.handle(line, node as u8, req.into())
     }
 
-    /// Fills `line` into `node`'s cache (inclusion bookkeeping on a new
-    /// allocation only, as `MemorySystem::fill_l2` does).
-    fn fill(&mut self, node: usize, line: usize, state: MoesiState) {
-        let newly_cached = self.lines[node][line] == MoesiState::Invalid;
-        self.lines[node][line] = state;
-        if newly_cached {
-            self.rcas[node].line_cached(REGION);
+    /// The faithful home recomputes the mask after every directory
+    /// update; the stale-region-dir-cache fault installs it once and
+    /// never refreshes it.
+    fn refresh_home(&mut self, _line: LineAddr) {
+        let lines = self.lines[0].len() as u64;
+        let stale = self.cfg.mutation == Mutation::StaleRegionDirCache;
+        let home = self.home_mut();
+        if !stale || home.cache_mask.is_none() {
+            home.cache_mask = Some(home.dir.region_mask((0..lines).map(LineAddr)));
         }
+    }
+
+    fn home_mask(&mut self, _line: LineAddr) -> Option<u64> {
+        self.home.as_ref()?.cache_mask
     }
 }
 
@@ -1116,7 +913,7 @@ impl Working {
 pub fn apply(cfg: &ModelConfig, state: &GlobalState, event: Event) -> GlobalState {
     let mut w = Working::new(cfg);
     w.load(state);
-    w.step(cfg, event);
+    w.step(event);
     w.materialize()
 }
 
@@ -1148,9 +945,9 @@ mod tests {
             for event in enabled_events(cfg, &state) {
                 let fresh = apply(cfg, &state, event);
                 reloaded.load(&state);
-                reloaded.step(cfg, event);
+                reloaded.step(event);
                 copied.clone_from(&base);
-                copied.step(cfg, event);
+                copied.step(event);
                 for working in [&reloaded, &copied] {
                     assert_eq!(working.encode(), fresh.encode(), "{state} / {event}");
                     assert_eq!(working.materialize(), fresh, "{state} / {event}");
@@ -1183,6 +980,26 @@ mod tests {
                 cfg.protocol
             );
         }
+    }
+
+    /// The stale region cache bypasses n0's upgrade lookup; the home
+    /// still invalidates n1's copy, as the live home does.
+    #[test]
+    fn bypassed_lookup_still_invalidates_sharers() {
+        let cfg = ModelConfig {
+            mutation: Mutation::StaleRegionDirCache,
+            ..ModelConfig::directory_3x2()
+        };
+        let mut s = GlobalState::initial(&cfg);
+        for event in [
+            Event::Load { node: 0, line: 0 },
+            Event::Load { node: 1, line: 0 },
+            Event::Store { node: 0, line: 0 },
+        ] {
+            s = apply(&cfg, &s, event);
+        }
+        assert_eq!(s.nodes[0].lines[0], MoesiState::Modified, "{s}");
+        assert_eq!(s.nodes[1].lines[0], MoesiState::Invalid, "{s}");
     }
 
     #[test]

@@ -187,6 +187,96 @@ fn hierarchical_invariants() {
     );
 }
 
+/// A random machine: any of the seven coherence modes (the directory
+/// and hierarchical machines on 16 nodes as well as 4, the snooping
+/// modes sometimes on two boards) with random feature flags, including
+/// bus write-backs, owner prediction, Jetty, shared-read bypass and a
+/// small L2 for eviction pressure.
+fn random_config(g: &mut Xoshiro256pp) -> SystemConfig {
+    let region_bytes = [256u64, 512, 1024][g.gen_range(0usize..3)];
+    let sets = [2usize, 64, 8192][g.gen_range(0usize..3)];
+    let mode = match g.gen_range(0u32..7) {
+        0 => CoherenceMode::Baseline,
+        1 => CoherenceMode::Cgct { region_bytes, sets },
+        2 => CoherenceMode::Scaled {
+            region_bytes,
+            sets: 64,
+        },
+        3 => CoherenceMode::RegionScout { region_bytes },
+        4 => CoherenceMode::Directory,
+        5 => CoherenceMode::DirectoryCgct { region_bytes, sets },
+        _ => CoherenceMode::Hierarchical { region_bytes, sets },
+    };
+    let mut cfg = SystemConfig::paper_default(mode);
+    cfg.perturbation = 0;
+    cfg.stream_prefetch = g.gen_bool(0.5);
+    cfg.exclusive_prefetch = g.gen_bool(0.5);
+    cfg.self_invalidation = g.gen_bool(0.8);
+    cfg.favor_empty_replacement = g.gen_bool(0.8);
+    cfg.direct_writebacks = g.gen_bool(0.8);
+    cfg.owner_prediction = g.gen_bool(0.3);
+    cfg.region_prefetch_filter = g.gen_bool(0.3);
+    cfg.dram_speculation_filter = g.gen_bool(0.3);
+    cfg.shared_read_bypass = g.gen_bool(0.3);
+    cfg.jetty_filter = g.gen_bool(0.3);
+    if mode.uses_directory() || matches!(mode, CoherenceMode::Hierarchical { .. }) {
+        if g.gen_bool(0.5) {
+            cfg.topology = Topology::for_cores(16);
+        }
+    } else if g.gen_bool(0.2) {
+        cfg.topology = Topology::two_boards();
+    }
+    if g.gen_bool(0.3) {
+        cfg.hierarchy.l2.capacity_bytes = 64 * 1024;
+    }
+    cfg
+}
+
+/// One fuzzer for every mode: random machines from [`random_config`]
+/// replay random operations over a small address pool with deliberate
+/// region and set collisions, under the sanitizer. A longer fuzz is a
+/// loop over `CGCT_TEST_SEED`.
+#[test]
+fn random_machines_keep_every_invariant() {
+    check("safety::random_machines_keep_every_invariant", 64, |g| {
+        let cfg = random_config(g);
+        let label = cfg.mode.label();
+        let cores = cfg.topology.total_cores();
+        let mut mem = MemorySystem::new(cfg, g.next_u64());
+        mem.set_sanitize(true);
+        mem.set_sanitize_interval(256);
+        let pool_lines = g.gen_range(16u64..512);
+        let mut now = Cycle(0);
+        for _ in 0..g.gen_range(500usize..4_000) {
+            let core = CoreId(g.gen_range(0..cores));
+            // Mostly nearby lines, sometimes far-apart set-conflicting ones.
+            let mut line = g.gen_range(0..pool_lines);
+            if g.gen_bool(0.2) {
+                line += 8192 * g.gen_range(1u64..4);
+            }
+            let addr = Addr(line * 64 + g.gen_range(0u64..8) * 8);
+            match g.gen_range(0u32..10) {
+                0..=3 => {
+                    mem.load(core, now, addr, g.gen_bool(0.2));
+                }
+                4..=6 => {
+                    mem.store(core, now, addr);
+                }
+                7..=8 => {
+                    mem.ifetch(core, now, addr);
+                }
+                _ => {
+                    mem.dcbz(core, now, addr);
+                }
+            }
+            now += g.gen_range(1u64..30);
+        }
+        if let Err(e) = mem.check_invariants() {
+            panic!("{label} on {cores} cores: {e}");
+        }
+    });
+}
+
 /// All §6 extensions enabled at once (owner prediction, prefetch
 /// filter, DRAM-speculation filter) must preserve every invariant.
 #[test]
