@@ -2376,11 +2376,11 @@ impl Store for Live<'_> {
         self.ms.directories[self.mc.0].handle(line, node as u8, req.into())
     }
 
-    fn refresh_home(&mut self, _line: LineAddr) {
+    fn refresh_home(&mut self) {
         self.ms.refresh_region_dir_cache(self.mc, self.region);
     }
 
-    fn home_mask(&mut self, _line: LineAddr) -> Option<u64> {
+    fn home_mask(&mut self) -> Option<u64> {
         self.ms.region_dir_caches[self.mc.0].lookup(self.region)
     }
 

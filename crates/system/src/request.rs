@@ -134,9 +134,9 @@ pub trait Store {
     /// The home's per-line transition: its action and exclusive flag.
     fn home_handle(&mut self, node: usize, line: LineAddr, req: ReqKind) -> (DirAction, bool);
     /// Refreshes the home's region-grain cache after a home transition.
-    fn refresh_home(&mut self, line: LineAddr);
-    /// The home's cached node mask for `line`'s region, if cached.
-    fn home_mask(&mut self, line: LineAddr) -> Option<u64>;
+    fn refresh_home(&mut self);
+    /// The home's cached node mask for the request's region, if cached.
+    fn home_mask(&mut self) -> Option<u64>;
     /// Hook: the line snoop resolved, before any region self-invalidation.
     fn line_snoop_done(&mut self, _out: &Outcome) {}
     /// Hook: the home handled the request; `bypassed` when no lookup ran.
@@ -261,7 +261,7 @@ pub fn home<S: Store>(
     let bypassed = match upkeep {
         Upkeep::None => false,
         Upkeep::DirectFill => true,
-        Upkeep::FullExternal => s.home_mask(line).is_some_and(|m| m & !(1u64 << node) == 0),
+        Upkeep::FullExternal => s.home_mask().is_some_and(|m| m & !(1u64 << node) == 0),
     };
     let (action, exclusive) = home_step(s, node, line, req);
     if req == ReqKind::Writeback {
@@ -312,7 +312,7 @@ pub fn home<S: Store>(
 /// The home's transition plus its region-cache refresh.
 fn home_step<S: Store>(s: &mut S, node: usize, line: LineAddr, req: ReqKind) -> (DirAction, bool) {
     let handled = s.home_handle(node, line, req);
-    s.refresh_home(line);
+    s.refresh_home();
     handled
 }
 

@@ -894,7 +894,7 @@ impl Store for Working {
     /// The faithful home recomputes the mask after every directory
     /// update; the stale-region-dir-cache fault installs it once and
     /// never refreshes it.
-    fn refresh_home(&mut self, _line: LineAddr) {
+    fn refresh_home(&mut self) {
         let lines = self.lines[0].len() as u64;
         let stale = self.cfg.mutation == Mutation::StaleRegionDirCache;
         let home = self.home_mut();
@@ -903,7 +903,7 @@ impl Store for Working {
         }
     }
 
-    fn home_mask(&mut self, _line: LineAddr) -> Option<u64> {
+    fn home_mask(&mut self) -> Option<u64> {
         self.home.as_ref()?.cache_mask
     }
 }
