@@ -146,6 +146,7 @@ pub trait Store {
 }
 
 /// The arm `node`'s `req` takes.
+#[inline]
 pub fn route<S: Store>(s: &mut S, node: usize, req: ReqKind) -> Arm {
     let machine = s.machine();
     // Write-backs travel point-to-point to the home in every directory
@@ -165,6 +166,7 @@ pub fn route<S: Store>(s: &mut S, node: usize, req: ReqKind) -> Arm {
 }
 
 /// Routes and runs one request.
+#[inline]
 pub fn request<S: Store>(s: &mut S, node: usize, line: LineAddr, req: ReqKind) -> Outcome {
     match route(s, node, req) {
         Arm::Local => complete_locally(s, node, line, req),
@@ -178,6 +180,7 @@ pub fn request<S: Store>(s: &mut S, node: usize, line: LineAddr, req: ReqKind) -
 /// nothing is allocated or displaced. On the directory machine the
 /// per-line directory still learns of the request (an update off the
 /// critical path); the claim guarantees its action names no live copy.
+#[inline]
 pub fn complete_locally<S: Store>(s: &mut S, node: usize, line: LineAddr, req: ReqKind) -> Outcome {
     let mut out = Outcome::default();
     if s.machine() == Machine::DirectoryCgct {
@@ -196,6 +199,7 @@ pub fn complete_locally<S: Store>(s: &mut S, node: usize, line: LineAddr, req: R
 
 /// The bus machines' direct-to-memory arm: no snoops anywhere, and a
 /// write-back is fire-and-forget to the recorded controller.
+#[inline]
 pub fn direct<S: Store>(s: &mut S, node: usize, line: LineAddr, req: ReqKind) -> Outcome {
     if req == ReqKind::Writeback {
         return Outcome::default();
@@ -217,6 +221,7 @@ pub fn direct<S: Store>(s: &mut S, node: usize, line: LineAddr, req: ReqKind) ->
 /// the region snoop (after the line snoop, so a now-empty region can
 /// self-invalidate), then update the requester's region entry
 /// (write-backs leave none) and fill.
+#[inline]
 pub fn broadcast<S: Store>(s: &mut S, node: usize, line: LineAddr, req: ReqKind) -> Outcome {
     let mut out = Outcome::default();
     for other in s.probes(node) {
@@ -250,6 +255,7 @@ pub fn broadcast<S: Store>(s: &mut S, node: usize, line: LineAddr, req: ReqKind)
 /// invalidations and its owner forward whether or not the lookup was
 /// bypassed: a bypass skips only the lookup's DRAM access. Stale
 /// targets (silent clean evictions) hold nothing and are no-ops.
+#[inline]
 pub fn home<S: Store>(
     s: &mut S,
     upkeep: Upkeep,
@@ -310,6 +316,7 @@ pub fn home<S: Store>(
 }
 
 /// The home's transition plus its region-cache refresh.
+#[inline]
 fn home_step<S: Store>(s: &mut S, node: usize, line: LineAddr, req: ReqKind) -> (DirAction, bool) {
     let handled = s.home_handle(node, line, req);
     s.refresh_home();
@@ -318,6 +325,7 @@ fn home_step<S: Store>(s: &mut S, node: usize, line: LineAddr, req: ReqKind) -> 
 
 /// Relays an external request to every peer's region tracker and
 /// merges the answers.
+#[inline]
 fn external_all<S: Store>(
     s: &mut S,
     node: usize,
@@ -336,6 +344,7 @@ fn external_all<S: Store>(
 }
 
 /// Runs the before-fill hook, then fills the requester's line.
+#[inline]
 fn finish<S: Store>(s: &mut S, node: usize, line: LineAddr, out: Outcome) -> Outcome {
     s.before_fill(&out);
     if let Some(state) = out.fill {

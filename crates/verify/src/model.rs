@@ -793,6 +793,7 @@ impl Working {
 /// exactly as it steps the live memory system. The seeded faults are
 /// injected here, one per store part, so the core cannot express one.
 impl Store for Working {
+    #[inline]
     fn machine(&self) -> Machine {
         match self.cfg.protocol {
             Protocol::DirectoryCgct => Machine::DirectoryCgct,
@@ -800,6 +801,7 @@ impl Store for Working {
         }
     }
 
+    #[inline]
     fn line(&self, node: usize, line: LineAddr) -> MoesiState {
         self.lines[node][line.0 as usize]
     }
@@ -808,6 +810,7 @@ impl Store for Working {
     /// requester's cluster plus the clusters caching a line of the
     /// region, derived exactly from the line states (the truth the live
     /// system keeps incrementally and its sanitizer checks).
+    #[inline]
     fn probes(&mut self, requester: usize) -> Visit {
         let (cfg, nodes) = (&self.cfg, self.lines.len());
         if cfg.protocol != Protocol::Hierarchical || cfg.clusters <= 1 {
@@ -829,6 +832,7 @@ impl Store for Working {
         )
     }
 
+    #[inline]
     fn snooped(&mut self, node: usize, line: LineAddr, next: MoesiState, req: ReqKind) {
         if self.cfg.mutation == Mutation::KeepStaleSharers && req.invalidates_others() {
             return; // FAULT: the snooper ignores the invalidation
@@ -842,6 +846,7 @@ impl Store for Working {
 
     /// Inclusion bookkeeping on a new allocation only, as
     /// `MemorySystem::fill_l2` does.
+    #[inline]
     fn fill(&mut self, node: usize, line: LineAddr, state: MoesiState) {
         let slot = &mut self.lines[node][line.0 as usize];
         let newly_cached = *slot == MoesiState::Invalid;
@@ -851,6 +856,7 @@ impl Store for Working {
         }
     }
 
+    #[inline]
     fn permission(&mut self, node: usize, req: ReqKind) -> RegionPermission {
         let permission = self.rcas[node].permission(REGION, req);
         if self.cfg.mutation == Mutation::OverclaimExclusive
@@ -867,15 +873,18 @@ impl Store for Working {
         permission
     }
 
+    #[inline]
     fn local_fill(&mut self, node: usize, fill: FillKind, resp: Option<MergedRegionResp>) {
         self.rcas[node].local_fill(REGION, fill, resp.map(|r| r.rca), 0);
     }
 
     /// Every node: the model keeps no holder mask.
+    #[inline]
     fn region_peers(&mut self, _requester: usize) -> Visit {
         Visit::All(0..self.lines.len())
     }
 
+    #[inline]
     fn external(&mut self, node: usize, req: ReqKind, fill_exclusive: bool) -> MergedRegionResp {
         if self.cfg.mutation == Mutation::SkipExternalDowngrade {
             return MergedRegionResp::default(); // FAULT: regions never see external traffic
@@ -887,6 +896,7 @@ impl Store for Working {
         }
     }
 
+    #[inline]
     fn home_handle(&mut self, node: usize, line: LineAddr, req: ReqKind) -> (DirAction, bool) {
         self.home_mut().dir.handle(line, node as u8, req.into())
     }
@@ -894,6 +904,7 @@ impl Store for Working {
     /// The faithful home recomputes the mask after every directory
     /// update; the stale-region-dir-cache fault installs it once and
     /// never refreshes it.
+    #[inline]
     fn refresh_home(&mut self) {
         let lines = self.lines[0].len() as u64;
         let stale = self.cfg.mutation == Mutation::StaleRegionDirCache;
@@ -903,6 +914,7 @@ impl Store for Working {
         }
     }
 
+    #[inline]
     fn home_mask(&mut self) -> Option<u64> {
         self.home.as_ref()?.cache_mask
     }
