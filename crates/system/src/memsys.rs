@@ -23,7 +23,6 @@ use cgct::{
 };
 use cgct_cache::{
     snoop_line, Addr, Geometry, LineAddr, MoesiState, MsiState, RegionAddr, ReqKind, SetAssocArray,
-    SnoopAction,
 };
 use cgct_cpu::StreamPrefetcher;
 use cgct_interconnect::{
@@ -1237,7 +1236,8 @@ impl MemorySystem {
         let region = self.geom.region_of_line(line);
         let mc = self.topo.mc_of_region(region);
         let dist = self.topo.distance(core, mc);
-        self.metrics.requests.record(RequestCategory::of(req));
+        let category = RequestCategory::of(req);
+        self.metrics.requests.record(category);
         self.maybe_sample_rca(core);
         let tid = self.trace_begin(core, now, req, line, prefetch);
         if tid.is_some() {
@@ -1314,8 +1314,14 @@ impl MemorySystem {
             }
         }
         if let Some((victim, count)) = victim {
-            let (region, lines) = (victim.0, count);
-            self.trace_unkeyed(core, now, EventKind::RcaEvict { region, lines });
+            self.trace_unkeyed(
+                core,
+                now,
+                EventKind::RcaEvict {
+                    region: victim.0,
+                    lines: count,
+                },
+            );
             self.flush_region(core, now, victim);
         }
     }
@@ -1342,21 +1348,13 @@ impl MemorySystem {
             if let Some(holders) = &mut self.holders {
                 holders.remove(region, other);
             }
-            let kind = EventKind::RcaSelfInvalidate { region: region.0 };
-            self.trace_unkeyed(CoreId(other), when, kind);
+            self.trace_unkeyed(
+                CoreId(other),
+                when,
+                EventKind::RcaSelfInvalidate { region: region.0 },
+            );
         }
         r
-    }
-
-    /// DirectoryCgct: refreshes the home's region-grain directory cache
-    /// entry for `region` after a per-line directory update, keeping
-    /// every cached mask exact. No-op in the other modes.
-    fn refresh_region_dir_cache(&mut self, mc: McId, region: RegionAddr) {
-        if self.region_dir_caches.is_empty() {
-            return;
-        }
-        let mask = self.directories[mc.0].region_mask(self.geom.lines_in_region(region));
-        self.region_dir_caches[mc.0].update(region, mask);
     }
 
     /// Hierarchical mode: notes a line of `region` appearing in node
@@ -1378,29 +1376,24 @@ impl MemorySystem {
 
     /// Sanitizer: a request that skipped the home's directory lookup
     /// (or the home visit entirely) must not have required
-    /// directory-driven work: the action may name no cache whose live
-    /// copy its message changes or must supply. An exclusive claim says
-    /// no other node holds a line of the region; a shared read riding
-    /// an externally-clean claim may meet clean shared copies, which a
-    /// forward leaves as they are. Stale entries (from silent clean
-    /// evictions) are the full-map protocol's usual harmless no-ops.
+    /// directory-driven work — the region claim said no other node
+    /// holds any line of the region, so the action can name no cache
+    /// that actually holds this line. Stale entries (from silent clean
+    /// evictions) may still appear in the action; the resulting
+    /// messages are the full-map protocol's usual harmless no-ops.
     fn assert_bypass_clean(&self, core: CoreId, req: ReqKind, line: LineAddr, action: &DirAction) {
         if !(cfg!(debug_assertions) || self.sanitize) {
             return;
         }
         let holds = |t: u8| {
             let t = t as usize;
-            t != core.0 && t < self.nodes.len() && self.l2_state(CoreId(t), line).is_valid()
+            t != core.0
+                && t < self.nodes.len()
+                && self.nodes[t].l2.get(line.0).is_some_and(|s| s.is_valid())
         };
-        let needed = |owner: u8| {
-            let state = self.l2_state(CoreId(owner as usize), line);
-            let snoop = snoop_line(state, req);
-            snoop.next != state || snoop.action == SnoopAction::SupplyData
-        };
-        let forward = |o: u8| holds(o) && needed(o);
-        let live_owner =
-            matches!(action, DirAction::ForwardToOwner { owner, .. } if forward(*owner));
-        if live_owner || action.invalidate().iter().any(|&t| holds(t)) {
+        let live_foreign_owner =
+            matches!(action, DirAction::ForwardToOwner { owner, .. } if holds(*owner));
+        if live_foreign_owner || action.invalidate().iter().any(|&t| holds(t)) {
             panic!(
                 "coherence sanitizer: directory bypass for {core} {req:?} {line} \
                  required remote work ({action:?})"
@@ -2203,7 +2196,7 @@ impl Live<'_> {
                 .latency
                 .direct_request(ms.topo.distance(CoreId(t as usize), mc))
         };
-        let targets = out.home.as_ref().map_or(&[][..], |(a, _)| a.invalidate());
+        let targets = out.home.as_ref().map_or(&[][..], DirAction::invalidate);
         let others = targets.iter().filter(|&&t| t as usize != core.0);
         let inval_latency = others.map(|&t| 2 * hop(t)).fold(0, u64::max);
         let done = self.done.max(self.resolved + inval_latency);
@@ -2213,7 +2206,7 @@ impl Live<'_> {
 
     /// Data movement at the home, after the forward (if any) applied.
     fn home_data(&mut self, out: &Outcome) {
-        let Some((action, _)) = &out.home else {
+        let Some(action) = &out.home else {
             return;
         };
         let ms = &mut *self.ms;
@@ -2376,8 +2369,15 @@ impl Store for Live<'_> {
         self.ms.directories[self.mc.0].handle(line, node as u8, req.into())
     }
 
+    /// DirectoryCgct keeps every cached region mask exact; no-op in the
+    /// other modes.
     fn refresh_home(&mut self) {
-        self.ms.refresh_region_dir_cache(self.mc, self.region);
+        let ms = &mut *self.ms;
+        if ms.region_dir_caches.is_empty() {
+            return;
+        }
+        let mask = ms.directories[self.mc.0].region_mask(ms.geom.lines_in_region(self.region));
+        ms.region_dir_caches[self.mc.0].update(self.region, mask);
     }
 
     fn home_mask(&mut self) -> Option<u64> {

@@ -97,8 +97,8 @@ pub struct Outcome {
     pub line_resp: LineSnoopResponse,
     /// The requester's fill state (`None`: no line is filled).
     pub fill: Option<MoesiState>,
-    /// The home's action and exclusive-grant flag.
-    pub home: Option<(DirAction, bool)>,
+    /// The home's action.
+    pub home: Option<DirAction>,
     /// Whether the owner a home forward named still held the line.
     pub owner_live: bool,
 }
@@ -131,7 +131,8 @@ pub trait Store {
     fn region_peers(&mut self, requester: usize) -> Visit;
     /// Delivers an external request to `node`'s tracker.
     fn external(&mut self, node: usize, req: ReqKind, fill_exclusive: bool) -> MergedRegionResp;
-    /// The home's per-line transition: its action and exclusive flag.
+    /// The home's per-line transition: its action and whether it
+    /// grants exclusivity.
     fn home_handle(&mut self, node: usize, line: LineAddr, req: ReqKind) -> (DirAction, bool);
     /// Refreshes the home's region-grain cache after a home transition.
     fn refresh_home(&mut self);
@@ -184,9 +185,8 @@ pub fn request<S: Store>(s: &mut S, node: usize, line: LineAddr, req: ReqKind) -
 pub fn complete_locally<S: Store>(s: &mut S, node: usize, line: LineAddr, req: ReqKind) -> Outcome {
     let mut out = Outcome::default();
     if s.machine() == Machine::DirectoryCgct {
-        let home = home_step(s, node, line, req);
-        s.home_done(&home.0, true);
-        out.home = Some(home);
+        let (action, _) = home_step(s, node, line, req);
+        s.home_done(&action, true);
     }
     s.local_fill(node, FillKind::Exclusive, None);
     // Upgrades touch the line in the caller, after the request.
@@ -311,7 +311,7 @@ pub fn home<S: Store>(
         }
     }
     out.fill = Some(fill);
-    out.home = Some((action, exclusive));
+    out.home = Some(action);
     finish(s, node, line, out)
 }
 
