@@ -20,7 +20,6 @@
 //!   diag                           calibration diagnostics
 //!   all                            everything, in paper order
 //!   run <benchmark>                one cell, checkpointable/resumable
-//!   cache gc                       prune stale result-cache entries
 //! ```
 //!
 //! `--quick` uses the scaled-down plan (CI-friendly); the default plan is
@@ -33,12 +32,13 @@
 //! only `timing.json` (per-item wall clock, written next to the other
 //! `--json` artifacts) varies run over run.
 //!
-//! Every simulated cell goes through the content-addressed result cache
-//! (`cgct_system::resultcache`) rooted at `CGCT_CACHE_DIR` (default
-//! `.cgct-cache`): a warm re-run restores every cell from disk and
-//! produces byte-identical artifacts without simulating. `--no-cache`
-//! or `CGCT_CACHE=0` disables it; tracing and sanitizing runs bypass
-//! it automatically (they exist to exercise the simulator).
+//! Every simulated cell goes through an in-process memo
+//! (`cgct_system::runner::Memo`): a cell that an earlier section of the
+//! same run already simulated (the ablations, for instance, re-run many
+//! of the main suite's cells) is reused, not simulated again, and the
+//! artifacts are byte-identical either way. Stderr reports each
+//! section's reused and simulated cells. A `--trace` run bypasses the
+//! memo, because a reused cell carries no trace spans.
 
 use cgct::StorageModel;
 use cgct_bench::timing::TimingLog;
@@ -59,13 +59,11 @@ use std::time::Instant;
 
 struct Args {
     command: String,
-    /// Positional operand after the command (`run <benchmark>`,
-    /// `cache <gc>`).
+    /// Positional operand after the command (`run <benchmark>`).
     operand: Option<String>,
     quick: bool,
     serial: bool,
     sanitize: bool,
-    no_cache: bool,
     mode: Option<String>,
     seed: Option<u64>,
     checkpoint: Option<String>,
@@ -108,7 +106,6 @@ const COMMANDS: &[&str] = &[
     "diag",
     "all",
     "run",
-    "cache",
 ];
 
 fn parse_args() -> Args {
@@ -118,7 +115,6 @@ fn parse_args() -> Args {
     let mut quick = false;
     let mut serial = false;
     let mut sanitize = false;
-    let mut no_cache = false;
     let mut mode = None;
     let mut seed = None;
     let mut checkpoint = None;
@@ -145,8 +141,7 @@ fn parse_args() -> Args {
                        sectoring                      sectored-cache miss ratios\n\
                        diag                           calibration diagnostics\n\
                        all                            everything, paper order\n\
-                       run <benchmark>                one cell, checkpointable\n\
-                       cache gc                       prune stale cache entries\n\n\
+                       run <benchmark>                one cell, checkpointable\n\n\
                      --quick    scaled-down plan (CI-friendly)\n\
                      --serial   one worker, in-order (same output, no threads)\n\
                      --sanitize runtime coherence sanitizer: re-check the\n\
@@ -156,10 +151,9 @@ fn parse_args() -> Args {
                      --trace    record per-request lifetime traces and write\n\
                                 chrome_trace.json / trace_summary.json /\n\
                                 trace_report.md to <dir> (implies CGCT_TRACE=1;\n\
-                                all other outputs stay byte-identical)\n\
-                     --no-cache bypass the content-addressed result cache\n\
-                                (also CGCT_CACHE=0; tracing/sanitizing runs\n\
-                                bypass it automatically)\n\n\
+                                all other outputs stay byte-identical)\n\n\
+                     A cell that an earlier section of the same run already\n\
+                     simulated is reused (same output; not under --trace).\n\n\
                      run-command flags (see EXPERIMENTS.md):\n\
                      --mode <label>        baseline | cgct-<N>B | scaled-<N>B |\n\
                                            regionscout-<N>B | directory |\n\
@@ -170,15 +164,13 @@ fn parse_args() -> Args {
                                            pause/snapshot cadence\n\
                      --resume <file>       continue from a snapshot\n\
                      --stop-after <k>      exit after k segments (interrupt)\n\n\
-                     CGCT_JOBS=<n> overrides the worker count (default: all cores)\n\
-                     CGCT_CACHE_DIR=<dir> result-cache root (default .cgct-cache)"
+                     CGCT_JOBS=<n> overrides the worker count (default: all cores)"
                 );
                 std::process::exit(0);
             }
             "--quick" => quick = true,
             "--serial" => serial = true,
             "--sanitize" => sanitize = true,
-            "--no-cache" => no_cache = true,
             "--mode" => mode = it.next(),
             "--seed" => seed = Some(parse_u64("--seed", it.next())),
             "--checkpoint" => checkpoint = it.next(),
@@ -216,7 +208,6 @@ fn parse_args() -> Args {
         quick,
         serial,
         sanitize,
-        no_cache,
         mode,
         seed,
         checkpoint,
@@ -266,8 +257,8 @@ impl Progress {
 /// Pool-maps `f` over `items`, recording per-item wall time under
 /// `prefix:<label>` and showing a live progress line. `stats` extracts
 /// the simulated cycles an item covered, the memory events it
-/// delivered, and whether the cell was restored from the result cache
-/// (for the timing log's throughput and `cache_hit` columns); return
+/// delivered, and whether the cell was reused from the in-process memo
+/// (for the timing log's throughput and `reused` columns); return
 /// `None` for non-simulation work.
 fn run_pooled<T, R, F>(
     jobs: usize,
@@ -300,16 +291,15 @@ where
     out
 }
 
-/// Per-section result-cache report on stderr: cells restored from the
-/// cache vs actually simulated since the last report. Silent when the
-/// cache is off or the section simulated nothing.
-fn cache_report(section: &str) {
-    if let Some(cache) = cgct_system::resultcache::global() {
-        let (hits, misses) = (cache.hits(), cache.misses());
-        if hits + misses > 0 {
-            eprintln!("[cache] {section}: {hits} cells restored, {misses} simulated");
+/// Per-section reuse report on stderr: cells restored from the memo
+/// vs actually simulated since the last report. Silent when the memo
+/// is off or the section ran no cell.
+fn reuse_report(section: &str) {
+    if let Some(memo) = cgct_system::runner::memo() {
+        let (reused, simulated) = memo.take_counts();
+        if reused + simulated > 0 {
+            eprintln!("[cache] {section}: {reused} cells restored, {simulated} simulated");
         }
-        cache.reset_counts();
     }
 }
 
@@ -453,38 +443,6 @@ fn diag(plan: RunPlan) {
                     r.metrics.local.total() as f64 / ki2,
                 );
             }
-        }
-    }
-}
-
-/// `cache gc`: prune result-cache entries that can never hit again
-/// (stale code fingerprint, corrupt, truncated) and report bytes
-/// reclaimed. Operates on `CGCT_CACHE_DIR` regardless of whether the
-/// cache is enabled for runs.
-fn run_cache_command(args: &Args) {
-    match args.operand.as_deref() {
-        Some("gc") => {
-            let dir = cgct_system::config::env_knobs()
-                .cache_dir
-                .unwrap_or_else(|| ".cgct-cache".to_string());
-            let cache = cgct_system::ResultCache::new(dir.clone().into());
-            match cache.gc() {
-                Ok(r) => println!(
-                    "cache gc: {dir}: scanned {} entries, kept {}, removed {}, reclaimed {} bytes",
-                    r.scanned, r.kept, r.removed, r.bytes_reclaimed
-                ),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        other => {
-            eprintln!(
-                "error: unknown cache subcommand {:?} (try: cache gc)",
-                other.unwrap_or("<none>")
-            );
-            std::process::exit(2);
         }
     }
 }
@@ -663,19 +621,10 @@ fn main() {
         // byte-identical to an untraced run).
         std::env::set_var("CGCT_TRACE", "1");
     }
-    if !args.no_cache && args.command != "diag" {
-        // Default-ON content-addressed result cache. install_from_env
-        // re-checks CGCT_CACHE / trace / sanitize (set above from the
-        // flags), so a bypassed run never consults it.
-        if cgct_system::resultcache::install_from_env() {
-            let dir = cgct_system::resultcache::global().expect("installed").dir();
-            eprintln!("result cache: {}", dir.display());
-        }
-    }
-    if args.command == "cache" {
-        run_cache_command(&args);
-        return;
-    }
+    // Reuse repeated cells within this run. install_memo re-checks
+    // CGCT_TRACE (set above from --trace), so a traced run simulates
+    // every cell.
+    cgct_system::runner::install_memo();
     let jobs = pool::jobs();
     if let Some(dir) = &args.json_dir {
         if let Err(e) = prepare_output_dir(dir) {
@@ -754,17 +703,10 @@ fn main() {
             |report| progress.tick(report.done, report.total),
         );
         progress.finish();
-        timing.extend_runs(
-            suite
-                .timings
-                .iter()
-                .map(|(label, secs, cycles, events, hit)| {
-                    (format!("suite:{label}"), *secs, *cycles, *events, *hit)
-                }),
-        );
+        timing.extend_runs("suite", &suite.timings);
         timing.record("phase:suite", suite_t0.elapsed().as_secs_f64());
         eprintln!("suite done in {:.1}s", t0.elapsed().as_secs_f64());
-        cache_report("suite");
+        reuse_report("suite");
         if args.trace_dir.is_some() {
             for bench in suite.benchmarks() {
                 for mode in &modes {
@@ -842,7 +784,7 @@ fn main() {
             let rca_t0 = Instant::now();
             let rows = rca_stats(&suite);
             timing.record("phase:rca-stats", rca_t0.elapsed().as_secs_f64());
-            cache_report("rca-stats");
+            reuse_report("rca-stats");
             println!("## RCA statistics (§3.2, §5.2)\n");
             println!("{}", render_rca_stats(&rows));
             println!("(paper: 65.1% empty / 17.2% one line / 5.1% two; ~1.2% miss-ratio increase; 2.8-5 lines/region)\n");
@@ -854,7 +796,7 @@ fn main() {
         let t = Instant::now();
         f(jobs, timing);
         timing.record(format!("phase:{name}"), t.elapsed().as_secs_f64());
-        cache_report(name);
+        reuse_report(name);
     };
     if matches!(cmd, "all" | "ablations") {
         phase("ablations", &mut timing, &mut |jobs, timing| {
@@ -1514,9 +1456,8 @@ fn run_ablations(plan: RunPlan, args: &Args, jobs: usize, timing: &mut TimingLog
     ];
     let mut rows = Vec::new();
     for (name, modes, adjust) in &variants {
-        let t0 = Instant::now();
         let suite = Suite::run_configured(plan, modes, adjust, jobs, |_| {});
-        timing.record(format!("ablation:{name}"), t0.elapsed().as_secs_f64());
+        timing.extend_runs(&format!("ablation:{name}"), &suite.timings);
         let label = modes[1].label();
         let sp = speedups(&suite, std::slice::from_ref(&label));
         let (all, comm) = summary_reductions(&sp, &label);

@@ -20,11 +20,10 @@ pub struct TimingRow {
     /// non-simulation rows) — with `seconds`, the raw material for the
     /// `memory_events_per_sec` throughput figure.
     pub mem_events: Option<u64>,
-    /// Whether the item was restored from the content-addressed result
-    /// cache instead of simulated (`None` for non-simulation rows;
-    /// `Some(false)` covers both a cache miss and a disabled cache —
-    /// either way the cell was actually simulated).
-    pub cache_hit: Option<bool>,
+    /// Whether the item was reused from an earlier identical cell of
+    /// the same run instead of simulated (`None` for non-simulation
+    /// rows).
+    pub reused: Option<bool>,
 }
 
 impl TimingRow {
@@ -70,28 +69,28 @@ impl TimingLog {
             seconds,
             sim_cycles: None,
             mem_events: None,
-            cache_hit: None,
+            reused: None,
         });
     }
 
     /// Appends one simulation row: wall seconds plus the simulated
     /// cycles the item covered, the memory completion events it
-    /// delivered, and whether the cell was restored from the result
-    /// cache rather than simulated.
+    /// delivered, and whether the cell was reused rather than
+    /// simulated.
     pub fn record_run(
         &mut self,
         label: impl Into<String>,
         seconds: f64,
         sim_cycles: u64,
         mem_events: u64,
-        cache_hit: bool,
+        reused: bool,
     ) {
         self.rows.push(TimingRow {
             label: label.into(),
             seconds,
             sim_cycles: Some(sim_cycles),
             mem_events: Some(mem_events),
-            cache_hit: Some(cache_hit),
+            reused: Some(reused),
         });
     }
 
@@ -102,10 +101,17 @@ impl TimingLog {
         }
     }
 
-    /// Appends many simulation rows (e.g. a suite's per-item timings).
-    pub fn extend_runs(&mut self, rows: impl IntoIterator<Item = (String, f64, u64, u64, bool)>) {
-        for (label, seconds, cycles, events, hit) in rows {
-            self.record_run(label, seconds, cycles, events, hit);
+    /// Appends a suite's per-item simulation rows, labelled
+    /// `prefix:<label>`.
+    pub fn extend_runs(&mut self, prefix: &str, rows: &[(String, f64, u64, u64, bool)]) {
+        for (label, seconds, cycles, events, reused) in rows {
+            self.record_run(
+                format!("{prefix}:{label}"),
+                *seconds,
+                *cycles,
+                *events,
+                *reused,
+            );
         }
     }
 
@@ -119,20 +125,26 @@ impl TimingLog {
         self.rows.is_empty()
     }
 
-    /// Sum of all recorded item times — the serial-equivalent cost of
-    /// the work, to compare against actual wall-clock.
+    /// The rows whose work actually ran: everything but reused cells.
+    fn worked(&self) -> impl Iterator<Item = &TimingRow> {
+        self.rows.iter().filter(|r| r.reused != Some(true))
+    }
+
+    /// Sum of item times over rows that ran — the serial-equivalent
+    /// cost of the work, to compare against actual wall-clock.
     pub fn total_seconds(&self) -> f64 {
-        self.rows.iter().map(|r| r.seconds).sum()
+        self.worked().map(|r| r.seconds).sum()
     }
 
-    /// Sum of simulated cycles over rows that carry one.
+    /// Sum of simulated cycles over simulated (not reused) rows.
     pub fn total_sim_cycles(&self) -> u64 {
-        self.rows.iter().filter_map(|r| r.sim_cycles).sum()
+        self.worked().filter_map(|r| r.sim_cycles).sum()
     }
 
-    /// Sum of memory completion events over rows that carry one.
+    /// Sum of memory completion events over simulated (not reused)
+    /// rows.
     pub fn total_mem_events(&self) -> u64 {
-        self.rows.iter().filter_map(|r| r.mem_events).sum()
+        self.worked().filter_map(|r| r.mem_events).sum()
     }
 
     /// The recorded rows, in insertion order.
@@ -168,8 +180,8 @@ impl ToJson for TimingLog {
                     if let Some(e) = row.mem_events {
                         fields.push(("mem_events", Json::u64(e)));
                     }
-                    if let Some(h) = row.cache_hit {
-                        fields.push(("cache_hit", Json::Bool(h)));
+                    if let Some(h) = row.reused {
+                        fields.push(("reused", Json::Bool(h)));
                     }
                     Json::obj(fields)
                 })
@@ -216,45 +228,38 @@ mod tests {
     fn simulation_rows_carry_cycles_and_throughput() {
         let mut log = TimingLog::new(1);
         log.record_run("suite:ocean/cgct-512B#s1", 0.5, 1_000_000, 900, false);
-        log.extend_runs([(
-            "suite:ocean/cgct-512B#s2".to_string(),
-            0.25,
-            500_000u64,
-            450u64,
-            true,
-        )]);
+        log.extend_runs(
+            "suite",
+            &[("ocean/cgct-512B#s2".to_string(), 0.25, 500_000, 450, true)],
+        );
         log.record("phase:total", 0.75);
-        assert_eq!(log.total_sim_cycles(), 1_500_000);
-        assert_eq!(log.total_mem_events(), 1_350);
+        // The reused row counts toward neither time nor throughput.
+        assert!((log.total_seconds() - 1.25).abs() < 1e-12);
+        assert_eq!(log.total_sim_cycles(), 1_000_000);
+        assert_eq!(log.total_mem_events(), 900);
         assert_eq!(log.rows()[0].cycles_per_sec(), Some(2_000_000.0));
         assert_eq!(log.rows()[2].cycles_per_sec(), None);
         let v = Json::parse(&log.to_json().dump()).unwrap();
         assert_eq!(
             v.get("total_sim_cycles").and_then(Json::as_u64),
-            Some(1_500_000)
+            Some(1_000_000)
         );
-        assert_eq!(
-            v.get("total_mem_events").and_then(Json::as_u64),
-            Some(1_350)
-        );
+        assert_eq!(v.get("total_mem_events").and_then(Json::as_u64), Some(900));
         let rows = v.get("timings").and_then(Json::as_array).unwrap();
         assert_eq!(
             rows[0].get("sim_cycles").and_then(Json::as_u64),
             Some(1_000_000)
         );
         assert_eq!(rows[0].get("mem_events").and_then(Json::as_u64), Some(900));
-        assert_eq!(
-            rows[0].get("cache_hit").and_then(Json::as_bool),
-            Some(false)
-        );
-        assert_eq!(rows[1].get("cache_hit").and_then(Json::as_bool), Some(true));
+        assert_eq!(rows[0].get("reused").and_then(Json::as_bool), Some(false));
+        assert_eq!(rows[1].get("reused").and_then(Json::as_bool), Some(true));
         assert_eq!(
             rows[1].get("cycles_per_sec").and_then(Json::as_f64),
             Some(2_000_000.0)
         );
         assert!(rows[2].get("sim_cycles").is_none());
         assert!(rows[2].get("mem_events").is_none());
-        assert!(rows[2].get("cache_hit").is_none());
+        assert!(rows[2].get("reused").is_none());
         // A zero wall-time reading cannot produce an infinite rate.
         let mut zero = TimingLog::new(1);
         zero.record_run("x", 0.0, 10, 1, false);

@@ -6,7 +6,6 @@ use std::process::{Command, Output};
 fn experiments(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_experiments"))
         .args(args)
-        .env("CGCT_CACHE", "0")
         .output()
         .expect("experiments runs")
 }

@@ -299,8 +299,6 @@ impl SystemConfig {
 /// | `CGCT_TRACE`             | request-lifetime tracing (`1` on)                  | off            | here    |
 /// | `CGCT_SANITIZE`          | per-request invariant sanitizer (`1` on)           | off            | here    |
 /// | `CGCT_SANITIZE_INTERVAL` | requests between full invariant walks (min 1)      | 65536          | here    |
-/// | `CGCT_CACHE`             | result cache (`0`/empty disables)                  | on             | here    |
-/// | `CGCT_CACHE_DIR`         | result-cache root directory                        | `.cgct-cache`  | here    |
 /// | `CGCT_JOBS`              | run-level worker-pool width                        | host cores     | [`cgct_sim::pool::jobs`] |
 /// | `CGCT_TEST_SEED`         | root seed for property tests                       | fixed          | `cgct_sim::check::root_seed` |
 ///
@@ -308,6 +306,9 @@ impl SystemConfig {
 /// toggle: by construction (and verified by the A/B smokes in
 /// `scripts/ci.sh`) none of them may change simulated outcomes, only
 /// whether/how fast/with what instrumentation they are produced.
+/// In-process reuse of repeated sweep cells is not a knob: the
+/// `experiments` binary always installs it ([`crate::runner::install_memo`])
+/// and `CGCT_TRACE` bypasses it.
 ///
 /// Values are read fresh on every call — the `experiments` binary
 /// rewrites some of these while handling its own flags, and callers
@@ -320,10 +321,6 @@ pub struct EnvKnobs {
     pub sanitize: bool,
     /// `CGCT_SANITIZE_INTERVAL`: requests between full invariant walks.
     pub sanitize_interval: u64,
-    /// `CGCT_CACHE` set to empty/`0`: the result cache is disabled.
-    pub cache_disabled: bool,
-    /// `CGCT_CACHE_DIR`: result-cache root (when set and non-empty).
-    pub cache_dir: Option<String>,
 }
 
 /// True when `name` is set to something other than empty or `0`.
@@ -346,13 +343,6 @@ pub fn env_knobs() -> EnvKnobs {
             .and_then(|v| v.parse().ok())
             .unwrap_or(65_536)
             .max(1),
-        cache_disabled: matches!(
-            std::env::var("CGCT_CACHE").ok().as_deref(),
-            Some(v) if v.is_empty() || v == "0"
-        ),
-        cache_dir: std::env::var("CGCT_CACHE_DIR")
-            .ok()
-            .filter(|d| !d.is_empty()),
     }
 }
 

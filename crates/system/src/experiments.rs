@@ -21,14 +21,15 @@ pub struct Suite {
     pub results: BTreeMap<(String, String), AggregateResult>,
     /// The plan every configuration ran with.
     pub plan: RunPlan,
-    /// `(label, wall seconds, simulated cycles, memory events, cache
-    /// hit)` per work item, in canonical item order (benchmark-major,
+    /// `(label, wall seconds, simulated cycles, memory events, reused)`
+    /// per work item, in canonical item order (benchmark-major,
     /// then mode, then seed) — the raw material for
     /// `results/timing.json`. Cycles are the item's measured-phase
     /// `runtime_cycles` and events its delivered memory completions, so
     /// simulation throughput (cycles/sec, events/sec) is derivable per
-    /// item; the flag records whether the item was restored from the
-    /// result cache instead of simulated.
+    /// item; the flag records whether the item was reused from an
+    /// earlier identical cell ([`crate::runner::Memo`]) instead of
+    /// simulated.
     pub timings: Vec<(String, f64, u64, u64, bool)>,
 }
 

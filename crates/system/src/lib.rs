@@ -40,7 +40,6 @@ pub mod metrics;
 pub mod oracle;
 pub mod report;
 pub mod request;
-pub mod resultcache;
 pub mod runner;
 
 pub use checkpoint::CheckpointRun;
@@ -49,5 +48,4 @@ pub use machine::{Machine, RunResult};
 pub use memsys::MemorySystem;
 pub use metrics::{MemMetrics, RequestBreakdown, RequestCategory};
 pub use oracle::classify;
-pub use resultcache::ResultCache;
 pub use runner::{run_averaged, run_once, run_once_cached, AggregateResult, RunPlan};

@@ -676,9 +676,9 @@ impl cgct_sim::Snap for RcaRunStats {
 }
 
 impl cgct_sim::Snap for RunResult {
-    /// The trace report is never serialized: the result cache is
-    /// bypassed while tracing, so a cached result is always untraced
-    /// and `unsnap` restores `trace: None`.
+    /// The trace report is never serialized: a snapshot holds the
+    /// result a checkpointed or single `run` prints, and `unsnap`
+    /// restores `trace: None`.
     fn snap(&self) -> cgct_sim::Json {
         use cgct_sim::Json;
         Json::obj([

@@ -11,6 +11,9 @@ use crate::config::SystemConfig;
 use crate::machine::{Machine, RunResult};
 use cgct_sim::{pool, RunningStats};
 use cgct_workloads::BenchmarkSpec;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 /// How much work one experiment runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,30 +104,101 @@ impl WorkItem {
         run_once(&self.cfg, &self.spec, self.seed, plan)
     }
 
-    /// The item's content address under `plan` (see
-    /// [`crate::resultcache::cache_key`]).
-    pub fn cache_key(&self, plan: &RunPlan) -> u64 {
-        crate::resultcache::cache_key(&self.cfg, &self.spec, self.seed, plan)
-    }
-
-    /// Runs the item through the process-global result cache, if one is
-    /// installed ([`crate::resultcache::install_from_env`]): a hit
-    /// returns the stored result without simulating; a miss simulates
-    /// and populates the cache. The returned flag records whether this
-    /// was a hit. Without an installed cache this is exactly
+    /// Runs the item through the process-global [`Memo`], if one is
+    /// installed ([`install_memo`]): a cell this process already
+    /// simulated is handed back without simulating again. The flag
+    /// records that reuse. Without an installed memo this is exactly
     /// [`WorkItem::execute`].
     pub fn execute_cached(&self, plan: &RunPlan) -> (RunResult, bool) {
-        let Some(cache) = crate::resultcache::global() else {
-            return (self.execute(plan), false);
-        };
-        let key = self.cache_key(plan);
-        if let Some(result) = cache.lookup(key) {
-            return (result, true);
+        match MEMO.get() {
+            Some(memo) => memo.execute(self, plan),
+            None => (self.execute(plan), false),
         }
-        let result = self.execute(plan);
-        cache.store(key, &result);
+    }
+}
+
+/// An in-process memo of finished sweep cells.
+///
+/// A cell ([`WorkItem`] + [`RunPlan`]) is a pure function of its
+/// inputs, so a cell that an earlier section of the same process
+/// already simulated can be handed back instead of simulated again:
+/// the ablation, region-sweep, directory and energy sections share
+/// many cells with the main suite. The key is the full canonical
+/// rendering of the configuration, benchmark, seed and the plan's
+/// per-cell knobs, so two different cells never share an entry. The
+/// worker count, tracing and sanitizing are not part of it: none of
+/// them changes a result.
+///
+/// Two workers that miss on the same key at once both simulate it and
+/// store the same result; the only cost is the duplicated work.
+#[derive(Debug, Default)]
+pub struct Memo {
+    cells: Mutex<BTreeMap<String, RunResult>>,
+    reused: AtomicU64,
+    simulated: AtomicU64,
+}
+
+impl Memo {
+    fn key(item: &WorkItem, plan: &RunPlan) -> String {
+        format!(
+            "config={:?}\nbenchmark={:?}\nseed={}\nwarmup={}\ninstructions={}\nmax_cycles={}",
+            item.cfg,
+            item.spec,
+            item.seed,
+            plan.warmup_per_core,
+            plan.instructions_per_core,
+            plan.max_cycles,
+        )
+    }
+
+    /// Runs `item` under `plan`, or hands back the result of an earlier
+    /// identical cell; the flag records the reuse.
+    fn execute(&self, item: &WorkItem, plan: &RunPlan) -> (RunResult, bool) {
+        let key = Self::key(item, plan);
+        if let Some(result) = self.cells.lock().expect("memo poisoned").get(&key) {
+            self.reused.fetch_add(1, Ordering::Relaxed);
+            return (result.clone(), true);
+        }
+        let result = item.execute(plan);
+        self.simulated.fetch_add(1, Ordering::Relaxed);
+        self.cells
+            .lock()
+            .expect("memo poisoned")
+            .insert(key, result.clone());
         (result, false)
     }
+
+    /// `(reused, simulated)` cell counts since the previous call (or
+    /// construction); zeroes both.
+    pub fn take_counts(&self) -> (u64, u64) {
+        (
+            self.reused.swap(0, Ordering::Relaxed),
+            self.simulated.swap(0, Ordering::Relaxed),
+        )
+    }
+}
+
+/// The process-global memo behind [`WorkItem::execute_cached`].
+static MEMO: OnceLock<Memo> = OnceLock::new();
+
+/// Installs the process-global [`Memo`], unless request-lifetime
+/// tracing is on (`CGCT_TRACE`): a reused cell carries no trace spans,
+/// so a traced run must simulate every cell.
+///
+/// The library default is no reuse: only a binary that calls this (the
+/// `experiments` harness does) shares cells between runs. Tests that
+/// run the same suite several times in one process, such as the
+/// worker-count determinism test, would otherwise compare a result
+/// with its own copy.
+pub fn install_memo() {
+    if !crate::config::env_knobs().trace {
+        MEMO.get_or_init(Memo::default);
+    }
+}
+
+/// The memo [`install_memo`] installed, if any.
+pub fn memo() -> Option<&'static Memo> {
+    MEMO.get()
 }
 
 /// Mean/CI aggregation of several perturbed runs of one configuration.
@@ -200,8 +274,8 @@ pub fn run_once(cfg: &SystemConfig, spec: &BenchmarkSpec, seed: u64, plan: &RunP
     )
 }
 
-/// [`run_once`] through the process-global result cache (see
-/// [`WorkItem::execute_cached`]); the flag records a cache hit.
+/// [`run_once`] through the process-global memo (see
+/// [`WorkItem::execute_cached`]); the flag records a reused cell.
 pub fn run_once_cached(
     cfg: &SystemConfig,
     spec: &BenchmarkSpec,
@@ -240,6 +314,7 @@ pub fn run_averaged(cfg: &SystemConfig, spec: &BenchmarkSpec, plan: &RunPlan) ->
 mod tests {
     use super::*;
     use crate::config::CoherenceMode;
+    use cgct_sim::Snap;
     use cgct_workloads::by_name;
 
     #[test]
@@ -303,6 +378,45 @@ mod tests {
         let a = item.execute(&plan);
         let b = item.execute(&plan);
         assert_eq!(a.runtime_cycles, b.runtime_cycles);
+    }
+
+    #[test]
+    fn memo_reuses_identical_cells_and_separates_every_input() {
+        let plan = RunPlan {
+            warmup_per_core: 0,
+            instructions_per_core: 1_000,
+            max_cycles: 1_000_000,
+            runs: 1,
+            base_seed: 3,
+        };
+        let mut cfg = SystemConfig::paper_default(CoherenceMode::Baseline);
+        cfg.perturbation = 0;
+        let item = WorkItem {
+            spec: by_name("barnes").unwrap(),
+            cfg,
+            seed: 3,
+        };
+        let memo = Memo::default();
+        let (first, reused) = memo.execute(&item, &plan);
+        assert!(!reused, "an empty memo simulates");
+        let (second, reused) = memo.execute(&item, &plan);
+        assert!(reused, "an identical cell is reused");
+        assert_eq!(second.snap().dump(), first.snap().dump());
+        assert_eq!(memo.take_counts(), (1, 1));
+
+        let mut seed = item.clone();
+        seed.seed += 1;
+        let mut config = item.clone();
+        config.cfg.perturbation += 1;
+        let mut bench = item.clone();
+        bench.spec = by_name("ocean").unwrap();
+        for (what, other) in [("seed", seed), ("config", config), ("benchmark", bench)] {
+            assert!(!memo.execute(&other, &plan).1, "{what} is in the key");
+        }
+        let mut longer = plan;
+        longer.instructions_per_core += 1;
+        assert!(!memo.execute(&item, &longer).1, "plan is in the key");
+        assert_eq!(memo.take_counts(), (0, 4));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! on restore, which the restore's invariant walk checks.
 
 use cgct_interconnect::Topology;
+use cgct_sim::check::check;
 use cgct_sim::{Json, Snap};
 use cgct_system::{CheckpointRun, CoherenceMode, Machine, SystemConfig};
 use cgct_workloads::by_name;
@@ -178,4 +179,32 @@ fn resume_rejects_region_counts_that_disagree_with_the_caches() {
     let err = CheckpointRun::resume(cfg, &by_name("ocean").unwrap(), &snap)
         .expect_err("a corrupted snapshot must be rejected");
     assert!(err.contains("inconsistent snapshot"), "{err}");
+}
+
+/// Damaged checkpoint bytes, cut short or with one bit flipped, come
+/// back from `Json::parse` and `CheckpointRun::resume` as `Ok` or `Err`,
+/// never as a panic. Every truncation is an error. A flipped bit can
+/// land somewhere harmless (a digit of a counter, say), so a flip is
+/// not required to fail.
+#[test]
+fn damaged_snapshots_fail_without_panicking() {
+    let cfg = SystemConfig::paper_default(CGCT);
+    let spec = by_name("ocean").unwrap();
+    let mut run =
+        CheckpointRun::new(machine("ocean", &cfg), WARMUP, INSTRUCTIONS, MAX_CYCLES).unwrap();
+    assert!(!run.step(1_500), "the run must still be in progress");
+    let bytes = run.snapshot().unwrap().dump().into_bytes();
+    let load = |damaged: &[u8]| -> Result<(), String> {
+        let text = std::str::from_utf8(damaged).map_err(|e| e.to_string())?;
+        let v = Json::parse(text).map_err(|e| e.to_string())?;
+        CheckpointRun::resume(cfg.clone(), &spec, &v).map(|_| ())
+    };
+    check("damaged checkpoint snapshots", 200, |g| {
+        let cut = g.gen_range(0..bytes.len());
+        assert!(load(&bytes[..cut]).is_err(), "truncation at {cut} accepted");
+        let mut flipped = bytes.clone();
+        let at = g.gen_range(0..bytes.len());
+        flipped[at] ^= 1 << g.gen_range(0u32..8);
+        let _ = load(&flipped);
+    });
 }

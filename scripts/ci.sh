@@ -102,12 +102,6 @@ cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
 echo "== event-driven vs cycle-stepped equivalence =="
 cargo test -q --release -p cgct-system --offline --test skip_equivalence
 
-# The A/B smokes below compare repeated runs of the same commands; the
-# content-addressed result cache would let later runs restore the first
-# run's cells instead of exercising the simulator, so it is disabled for
-# all of them and re-enabled only in its own smoke at the end.
-export CGCT_CACHE=0
-
 echo "== sanitizer smoke: experiments all --quick, byte-compared =="
 san_dir="$(mktemp -d)"
 trap 'rm -rf "$san_dir"' EXIT
@@ -156,53 +150,6 @@ cmp -s "$san_dir/traced.md" "$san_dir/untraced.md" || {
 # round-trips byte-exactly and obeys the Figure 6 latency ordering.
 target/release/trace_check "$trace_dir"
 echo "trace artifacts validated, non-trace artifacts byte-identical"
-
-echo "== result-cache smoke: fig7 --quick twice, warm run all-hits =="
-cache_dir="$san_dir/cache_entries"
-CGCT_JOBS=1 CGCT_CACHE=1 CGCT_CACHE_DIR="$cache_dir" \
-    target/release/experiments fig7 --quick --json "$san_dir/cache_cold" \
-    > "$san_dir/cache_cold.md" 2> "$san_dir/cache_cold.log"
-CGCT_JOBS=1 CGCT_CACHE=1 CGCT_CACHE_DIR="$cache_dir" \
-    target/release/experiments fig7 --quick --json "$san_dir/cache_warm" \
-    > "$san_dir/cache_warm.md" 2> "$san_dir/cache_warm.log"
-# The cold run must simulate everything; the warm one must simulate
-# nothing — and still produce byte-identical artifacts.
-grep -q "0 cells restored, " "$san_dir/cache_cold.log" || {
-    echo "cold run unexpectedly hit the (fresh) cache"
-    exit 1
-}
-grep -q " cells restored, 0 simulated" "$san_dir/cache_warm.log" || {
-    echo "warm run simulated cells it should have restored"
-    exit 1
-}
-for f in "$san_dir"/cache_cold/*.json; do
-    name="$(basename "$f")"
-    [ "$name" = "timing.json" ] && continue # wall times differ by design
-    cmp -s "$f" "$san_dir/cache_warm/$name" || {
-        echo "cached artifact differs: $name"
-        exit 1
-    }
-done
-cmp -s "$san_dir/cache_cold.md" "$san_dir/cache_warm.md" || {
-    echo "cached report differs"
-    exit 1
-}
-# Poison one entry (truncate it mid-payload): the corrupt entry must be
-# detected, re-simulated without a panic, and the output unchanged.
-poisoned="$(find "$cache_dir" -name '*.json' | sort | sed -n 1p)"
-head -c 64 "$poisoned" > "$poisoned.cut" && mv "$poisoned.cut" "$poisoned"
-CGCT_JOBS=1 CGCT_CACHE=1 CGCT_CACHE_DIR="$cache_dir" \
-    target/release/experiments fig7 --quick --json "$san_dir/cache_healed" \
-    > "$san_dir/cache_healed.md" 2> "$san_dir/cache_healed.log"
-grep -q " cells restored, 1 simulated" "$san_dir/cache_healed.log" || {
-    echo "poisoned entry was not re-simulated exactly once"
-    exit 1
-}
-cmp -s "$san_dir/cache_cold.md" "$san_dir/cache_healed.md" || {
-    echo "report differs after healing a poisoned cache entry"
-    exit 1
-}
-echo "warm run all-hits and byte-identical; poisoned entry healed"
 
 echo "== checkpoint smoke: run ocean (default, dir-cgct, hier), interrupt, resume, byte-compared =="
 CGCT_JOBS=1 target/release/experiments run ocean --quick --seed 3 \
