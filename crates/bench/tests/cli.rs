@@ -45,3 +45,32 @@ fn analytic_table_runs() {
     assert_eq!(out.status.code(), Some(0), "{stdout}");
     assert!(stdout.contains("## Table 1"), "{stdout}");
 }
+
+#[test]
+fn energy_matches_the_committed_quick_results() {
+    // results/quick/ is the committed output of `experiments all
+    // --quick`; the energy section alone must reproduce its file.
+    let dir = std::env::temp_dir().join(format!("cgct-energy-{}", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["energy", "--quick", "--json", dir.to_str().unwrap()])
+        .env("CGCT_JOBS", "2")
+        .output()
+        .expect("experiments runs");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let fresh = std::fs::read_to_string(dir.join("energy.json")).unwrap();
+    let committed = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/quick/energy.json"
+    ))
+    .unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(
+        fresh == committed,
+        "energy.json differs from results/quick/energy.json; regenerate results/quick/"
+    );
+}

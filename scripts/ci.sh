@@ -102,7 +102,7 @@ cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
 echo "== event-driven vs cycle-stepped equivalence =="
 cargo test -q --release -p cgct-system --offline --test skip_equivalence
 
-echo "== sanitizer smoke: experiments all --quick, byte-compared =="
+echo "== sanitizer smoke: experiments all --quick, byte-compared (and against results/quick/) =="
 san_dir="$(mktemp -d)"
 trap 'rm -rf "$san_dir"' EXIT
 CGCT_JOBS=1 target/release/experiments all --quick --json "$san_dir/plain" \
@@ -125,6 +125,29 @@ cmp -s "$san_dir/plain.md" "$san_dir/sanitized.md" || {
     exit 1
 }
 echo "sanitized artifacts byte-identical"
+# The committed quick results are the code's output: the plain leg must
+# reproduce results/quick/ byte for byte (report and every JSON file but
+# the wall-clock timing log). A change that moves a reported number
+# fails here until results/quick/ is regenerated (see README.md).
+for f in "$san_dir"/plain/*.json; do
+    name="$(basename "$f")"
+    [ "$name" = "timing.json" ] && continue
+    [ -f "results/quick/$name" ] || {
+        echo "results/quick/ has no $name; regenerate it"
+        exit 1
+    }
+done
+for f in results/quick/*.json; do
+    cmp -s "$f" "$san_dir/plain/$(basename "$f")" || {
+        echo "results/quick/$(basename "$f") differs from a fresh run; regenerate it"
+        exit 1
+    }
+done
+cmp -s results/quick/report.md "$san_dir/plain.md" || {
+    echo "results/quick/report.md differs from a fresh run; regenerate it"
+    exit 1
+}
+echo "fresh run matches results/quick/"
 
 echo "== trace smoke: experiments directory --quick --trace, validated =="
 trace_dir="$san_dir/trace"
