@@ -25,20 +25,26 @@
 //! `--quick` uses the scaled-down plan (CI-friendly); the default plan is
 //! the full evaluation scale used for `EXPERIMENTS.md`.
 //!
-//! Work fans out across the deterministic thread pool
-//! (`cgct_sim::pool`): worker count comes from `CGCT_JOBS` or the
-//! machine's available parallelism, and `--serial` forces a one-worker
-//! in-order run. Output is byte-identical whatever the worker count —
-//! only `timing.json` (per-item wall clock, written next to the other
-//! `--json` artifacts) varies run over run.
+//! Every section's simulations take one path: the section lists its
+//! cells (`cgct_system::runner::WorkItem`s), and `Harness::cells` runs
+//! them through `cgct_system::runner::run_cells` on the deterministic
+//! thread pool (`cgct_sim::pool`), records one `timing.json` row per
+//! cell, drives the stderr progress line and, for the sections that
+//! trace (suite, scalability, directory), keeps each cell's
+//! request-lifetime trace. The worker count comes from `CGCT_JOBS` or
+//! the machine's available parallelism; `--serial` makes it one, an
+//! in-order run on the calling thread. Output is byte-identical
+//! whatever the worker count — only `timing.json` (per-cell wall clock,
+//! written next to the other `--json` artifacts) varies run over run.
 //!
-//! Every simulated cell goes through an in-process memo
+//! The cells go through an in-process memo
 //! (`cgct_system::runner::Memo`): a cell that an earlier section of the
 //! same run already simulated (the ablations, for instance, re-run many
 //! of the main suite's cells) is reused, not simulated again, and the
 //! artifacts are byte-identical either way. Stderr reports each
-//! section's reused and simulated cells. A `--trace` run bypasses the
-//! memo, because a reused cell carries no trace spans.
+//! section's reused and simulated cells. A traced run (`--trace` or
+//! `CGCT_TRACE=1`) has no memo, because a reused cell carries no trace
+//! spans.
 
 use cgct::StorageModel;
 use cgct_bench::timing::TimingLog;
@@ -46,14 +52,16 @@ use cgct_bench::{full_plan, prepare_output_dir, quick_plan};
 use cgct_interconnect::LatencyModel;
 use cgct_sim::pool;
 use cgct_system::experiments::{
-    fig10, fig2, fig7, half_size_mode, rca_stats, speedups, standard_modes, summary_reductions,
-    Suite,
+    fig10, fig2, fig7, half_size_mode, rca_stats, rca_stats_cells, speedups, standard_modes,
+    summary_reductions, Suite,
 };
 use cgct_system::report::{
     markdown_table, progress_line, render_fig10, render_fig2, render_fig6, render_fig7,
     render_rca_stats, render_speedups, render_table1, render_table2,
 };
-use cgct_system::{CoherenceMode, RunPlan, SystemConfig};
+use cgct_system::runner::{run_cells, Memo, WorkItem};
+use cgct_system::{CoherenceMode, RunPlan, RunResult, SystemConfig};
+use cgct_trace::TraceReport;
 use cgct_workloads::{table4, BenchmarkSpec};
 use std::time::Instant;
 
@@ -254,70 +262,89 @@ impl Progress {
     }
 }
 
-/// Pool-maps `f` over `items`, recording per-item wall time under
-/// `prefix:<label>` and showing a live progress line. `stats` extracts
-/// the simulated cycles an item covered, the memory events it
-/// delivered, and whether the cell was reused from the in-process memo
-/// (for the timing log's throughput and `reused` columns); return
-/// `None` for non-simulation work.
-fn run_pooled<T, R, F>(
+/// The one path every section's cells take, and what it collects.
+struct Harness {
+    plan: RunPlan,
     jobs: usize,
-    prefix: &str,
-    labels: Vec<String>,
-    items: Vec<T>,
-    f: F,
-    stats: impl Fn(&R) -> Option<(u64, u64, bool)>,
-    timing: &mut TimingLog,
-) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let seconds = std::sync::Mutex::new(vec![0.0f64; items.len()]);
-    let progress = Progress::start();
-    let out = pool::run_observed(jobs, items, f, |report| {
-        seconds.lock().expect("timing poisoned")[report.index] = report.seconds;
-        progress.tick(report.done, report.total);
-    });
-    progress.finish();
-    let per_item = seconds.into_inner().unwrap();
-    for ((label, secs), result) in labels.into_iter().zip(per_item).zip(&out) {
-        match stats(result) {
-            Some((c, e, hit)) => timing.record_run(format!("{prefix}:{label}"), secs, c, e, hit),
-            None => timing.record(format!("{prefix}:{label}"), secs),
-        }
-    }
-    out
+    /// Reuse of repeated cells; `None` under tracing, because a reused
+    /// cell carries no trace spans.
+    memo: Option<Memo>,
+    timing: TimingLog,
+    /// Under `--trace`, the trace reports of the traced sections'
+    /// cells, in item order, so the trace artifacts are deterministic
+    /// under any `CGCT_JOBS`.
+    traces: Option<Vec<TraceReport>>,
+    /// `(reused, simulated)` cells of the current section.
+    counts: (usize, usize),
 }
 
-/// Per-section reuse report on stderr: cells restored from the memo
-/// vs actually simulated since the last report. Silent when the memo
-/// is off or the section ran no cell.
-fn reuse_report(section: &str) {
-    if let Some(memo) = cgct_system::runner::memo() {
-        let (reused, simulated) = memo.take_counts();
-        if reused + simulated > 0 {
-            eprintln!("[cache] {section}: {reused} cells restored, {simulated} simulated");
+impl Harness {
+    /// Runs one batch of cells through the runner with a live progress
+    /// line, and returns their results in item order. Each cell gets a
+    /// `timing.json` row labelled `prefix:<label>`; in a `traced` batch
+    /// its trace report, if any, is kept under the same label.
+    fn cells(
+        &mut self,
+        prefix: &str,
+        cells: Vec<(String, WorkItem)>,
+        traced: bool,
+    ) -> Vec<RunResult> {
+        let progress = Progress::start();
+        let runs = run_cells(cells, &self.plan, self.jobs, self.memo.as_ref(), |report| {
+            progress.tick(report.done, report.total)
+        });
+        progress.finish();
+        runs.into_iter()
+            .map(|mut run| {
+                let label = format!("{prefix}:{}", run.label);
+                let r = &run.result;
+                self.timing.record_cell(
+                    label.clone(),
+                    run.seconds,
+                    r.runtime_cycles,
+                    r.mem_events,
+                    run.reused,
+                );
+                if run.reused {
+                    self.counts.0 += 1;
+                } else {
+                    self.counts.1 += 1;
+                }
+                if let Some(traces) = self.traces.as_mut().filter(|_| traced) {
+                    if let Some(mut trace) = run.result.trace.take() {
+                        trace.label = label;
+                        traces.push(trace);
+                    }
+                }
+                run.result
+            })
+            .collect()
+    }
+
+    /// Runs one command section: records its wall time as a `phases`
+    /// row and reports on stderr how many of its cells were reused from
+    /// the memo and how many simulated (silent without a memo or cells).
+    fn section<T>(&mut self, name: &str, f: impl FnOnce(&mut Harness) -> T) -> T {
+        let t0 = Instant::now();
+        let out = f(self);
+        self.timing.record_phase(name, t0.elapsed().as_secs_f64());
+        let (reused, simulated) = std::mem::take(&mut self.counts);
+        if self.memo.is_some() && reused + simulated > 0 {
+            eprintln!("[cache] {name}: {reused} cells restored, {simulated} simulated");
         }
+        out
     }
 }
 
-/// Benchmark × mode work list in canonical (benchmark-major) order,
-/// with matching `bench/mode` labels.
-fn cross_product(
-    benchmarks: &[BenchmarkSpec],
-    modes: &[CoherenceMode],
-) -> (Vec<String>, Vec<(BenchmarkSpec, CoherenceMode)>) {
-    let mut labels = Vec::new();
-    let mut items = Vec::new();
-    for spec in benchmarks {
-        for &mode in modes {
-            labels.push(format!("{}/{}", spec.name, mode.label()));
-            items.push((spec.clone(), mode));
-        }
-    }
-    (labels, items)
+/// A cell of `spec` under `cfg` at `seed`, labelled
+/// `benchmark/mode#seed`.
+fn cell(spec: &BenchmarkSpec, cfg: SystemConfig, seed: u64) -> (String, WorkItem) {
+    let item = WorkItem {
+        spec: spec.clone(),
+        cfg,
+        seed,
+    };
+    (item.label(), item)
 }
 
 fn print_table3() {
@@ -604,11 +631,6 @@ fn run_single(plan: RunPlan, args: &Args) {
 
 fn main() {
     let args = parse_args();
-    if args.serial {
-        // Force every pool in the process (including library-internal
-        // fan-outs like rca_stats) down to one in-order worker.
-        std::env::set_var("CGCT_JOBS", "1");
-    }
     if args.sanitize {
         // Every MemorySystem in the process re-checks the global
         // coherence invariants as it runs (read-only: outputs must be
@@ -621,11 +643,7 @@ fn main() {
         // byte-identical to an untraced run).
         std::env::set_var("CGCT_TRACE", "1");
     }
-    // Reuse repeated cells within this run. install_memo re-checks
-    // CGCT_TRACE (set above from --trace), so a traced run simulates
-    // every cell.
-    cgct_system::runner::install_memo();
-    let jobs = pool::jobs();
+    let jobs = if args.serial { 1 } else { pool::jobs() };
     if let Some(dir) = &args.json_dir {
         if let Err(e) = prepare_output_dir(dir) {
             eprintln!("error: {e}");
@@ -643,11 +661,17 @@ fn main() {
     } else {
         full_plan()
     };
-    let mut timing = TimingLog::new(jobs);
-    // Request-lifetime trace reports, accumulated in canonical item
-    // order (so the trace artifacts are deterministic under any
-    // CGCT_JOBS) from the phases that keep their raw RunResults.
-    let mut trace_reports: Vec<cgct_trace::TraceReport> = Vec::new();
+    let mut h = Harness {
+        plan,
+        jobs,
+        // Reuse repeated cells within this run, unless tracing (set
+        // above from --trace, or by the caller) needs every cell
+        // simulated.
+        memo: (!cgct_system::config::env_knobs().trace).then(Memo::default),
+        timing: TimingLog::new(jobs),
+        traces: args.trace_dir.as_ref().map(|_| Vec::new()),
+        counts: (0, 0),
+    };
     let t0 = Instant::now();
     let cmd = args.command.as_str();
     if cmd == "diag" {
@@ -658,10 +682,7 @@ fn main() {
         run_single(plan, &args);
         return;
     }
-    let needs_suite = matches!(
-        cmd,
-        "all" | "fig2" | "fig7" | "fig8" | "fig9" | "fig10" | "rca-stats"
-    );
+    let needs_suite = matches!(cmd, "all" | "fig2" | "fig7" | "fig8" | "fig9" | "fig10");
 
     if matches!(cmd, "all" | "table1") {
         println!("## Table 1 — region protocol states\n");
@@ -693,33 +714,11 @@ fn main() {
         );
         let mut modes = standard_modes();
         modes.push(half_size_mode());
-        let suite_t0 = Instant::now();
-        let progress = Progress::start();
-        let suite = Suite::run_configured(
-            plan,
-            &modes,
-            |c| c,
-            jobs,
-            |report| progress.tick(report.done, report.total),
-        );
-        progress.finish();
-        timing.extend_runs("suite", &suite.timings);
-        timing.record("phase:suite", suite_t0.elapsed().as_secs_f64());
+        let suite = h.section("suite", |h| {
+            let results = h.cells("suite", Suite::cells(&plan, &modes, |c| c), true);
+            Suite::from_results(plan, &modes, results)
+        });
         eprintln!("suite done in {:.1}s", t0.elapsed().as_secs_f64());
-        reuse_report("suite");
-        if args.trace_dir.is_some() {
-            for bench in suite.benchmarks() {
-                for mode in &modes {
-                    for run in &suite.get(&bench, &mode.label()).runs {
-                        if let Some(t) = &run.trace {
-                            let mut t = t.clone();
-                            t.label = format!("suite:{}", t.label);
-                            trace_reports.push(t);
-                        }
-                    }
-                }
-            }
-        }
 
         if matches!(cmd, "all" | "fig2") {
             let rows = fig2(&suite);
@@ -780,58 +779,38 @@ fn main() {
             println!("{}", render_fig10(&rows, 100_000));
             dump_json(&args.json_dir, "fig10", &rows);
         }
-        if matches!(cmd, "all" | "rca-stats") {
-            let rca_t0 = Instant::now();
-            let rows = rca_stats(&suite);
-            timing.record("phase:rca-stats", rca_t0.elapsed().as_secs_f64());
-            reuse_report("rca-stats");
-            println!("## RCA statistics (§3.2, §5.2)\n");
-            println!("{}", render_rca_stats(&rows));
-            println!("(paper: 65.1% empty / 17.2% one line / 5.1% two; ~1.2% miss-ratio increase; 2.8-5 lines/region)\n");
-            dump_json(&args.json_dir, "rca_stats", &rows);
-        }
     }
-
-    let phase = |name: &str, timing: &mut TimingLog, f: &mut dyn FnMut(usize, &mut TimingLog)| {
-        let t = Instant::now();
-        f(jobs, timing);
-        timing.record(format!("phase:{name}"), t.elapsed().as_secs_f64());
-        reuse_report(name);
-    };
-    if matches!(cmd, "all" | "ablations") {
-        phase("ablations", &mut timing, &mut |jobs, timing| {
-            run_ablations(plan, &args, jobs, timing)
+    if matches!(cmd, "all" | "rca-stats") {
+        let rows = h.section("rca-stats", |h| {
+            rca_stats(&plan, h.cells("rca-stats", rca_stats_cells(&plan), false))
         });
+        println!("## RCA statistics (§3.2, §5.2)\n");
+        println!("{}", render_rca_stats(&rows));
+        println!("(paper: 65.1% empty / 17.2% one line / 5.1% two; ~1.2% miss-ratio increase; 2.8-5 lines/region)\n");
+        dump_json(&args.json_dir, "rca_stats", &rows);
+    }
+    if matches!(cmd, "all" | "ablations") {
+        h.section("ablations", |h| run_ablations(h, &args));
     }
     if matches!(cmd, "all" | "scalability") {
-        let traces = &mut trace_reports;
-        phase("scalability", &mut timing, &mut |jobs, timing| {
-            run_scalability(plan, &args, jobs, timing, traces)
-        });
+        h.section("scalability", |h| run_scalability(h, &args));
     }
     if matches!(cmd, "all" | "energy") {
-        phase("energy", &mut timing, &mut |jobs, timing| {
-            run_energy(plan, &args, jobs, timing)
-        });
+        h.section("energy", |h| run_energy(h, &args));
     }
     if matches!(cmd, "all" | "region-sweep") {
-        phase("region-sweep", &mut timing, &mut |jobs, timing| {
-            run_region_sweep(plan, &args, jobs, timing)
-        });
+        h.section("region-sweep", |h| run_region_sweep(h, &args));
     }
     if matches!(cmd, "all" | "directory") {
-        let traces = &mut trace_reports;
-        phase("directory", &mut timing, &mut |jobs, timing| {
-            run_directory_comparison(plan, &args, jobs, timing, traces)
-        });
+        h.section("directory", |h| run_directory_comparison(h, &args));
     }
     if matches!(cmd, "all" | "sectoring") {
-        phase("sectoring", &mut timing, &mut |jobs, timing| {
-            run_sectoring_comparison(plan, &args, jobs, timing)
+        h.section("sectoring", |h| {
+            run_sectoring_comparison(h.plan, h.jobs, &args)
         });
     }
 
-    if let Some(dir) = &args.trace_dir {
+    if let (Some(dir), Some(traces)) = (&args.trace_dir, &h.traces) {
         let write = |name: &str, contents: String| {
             let path = format!("{dir}/{name}");
             if let Err(e) = std::fs::write(&path, contents) {
@@ -842,20 +821,20 @@ fn main() {
         };
         write(
             "chrome_trace.json",
-            cgct_trace::report::chrome_trace(&trace_reports).dump(),
+            cgct_trace::report::chrome_trace(traces).dump(),
         );
         write(
             "trace_summary.json",
-            cgct_trace::report::summary(&trace_reports).dump_pretty(),
+            cgct_trace::report::summary(traces).dump_pretty(),
         );
         write(
             "trace_report.md",
-            cgct_trace::report::markdown_report(&trace_reports),
+            cgct_trace::report::markdown_report(traces),
         );
     }
     if let Some(dir) = &args.json_dir {
-        timing.record("phase:total", t0.elapsed().as_secs_f64());
-        match timing.write(dir) {
+        h.timing.record_phase("total", t0.elapsed().as_secs_f64());
+        match h.timing.write(dir) {
             Ok(path) => eprintln!("wrote {path}"),
             Err(e) => {
                 eprintln!("error: cannot write {dir}/timing.json: {e}");
@@ -869,49 +848,41 @@ fn main() {
 /// Sectored-cache comparison (related work, §2): sectoring shares one
 /// tag per 512 B and pays internal fragmentation in miss ratio; CGCT
 /// tracks regions *beyond* the cache and leaves the miss ratio alone.
-fn run_sectoring_comparison(plan: RunPlan, args: &Args, jobs: usize, timing: &mut TimingLog) {
+fn run_sectoring_comparison(plan: RunPlan, jobs: usize, args: &Args) {
     use cgct_cache::{Addr, ConventionalCache, Geometry, SectoredCache};
     use cgct_cpu::UopSource;
     use cgct_workloads::WorkloadThread;
     println!("## Sectored vs conventional cache (related work §2)\n");
     let geom = Geometry::new(64, 512);
     let accesses = (plan.instructions_per_core as usize).max(50_000);
-    let benchmarks = cgct_workloads::all_benchmarks();
-    let labels: Vec<String> = benchmarks.iter().map(|b| b.name.to_string()).collect();
-    let mut rows = run_pooled(
-        jobs,
-        "sectoring",
-        labels,
-        benchmarks,
-        |_, spec| {
-            let mut conventional = ConventionalCache::new(1024 * 1024, 2, geom);
-            let mut sectored = SectoredCache::new(1024 * 1024, 2, geom);
-            let mut thread = WorkloadThread::new(spec.clone(), 0, 4, plan.base_seed);
-            let mut seen = 0usize;
-            while seen < accesses {
-                if let Some(a) = thread.next_uop().kind.mem_addr() {
-                    let line = geom.line_of(Addr(a.0));
-                    conventional.access(line);
-                    sectored.access(line);
-                    seen += 1;
-                }
+    // Cache models, not simulation cells: they fan out on the pool
+    // directly.
+    let mut rows = pool::run_on(jobs, cgct_workloads::all_benchmarks(), |_, spec| {
+        let mut conventional = ConventionalCache::new(1024 * 1024, 2, geom);
+        let mut sectored = SectoredCache::new(1024 * 1024, 2, geom);
+        let mut thread = WorkloadThread::new(spec.clone(), 0, 4, plan.base_seed);
+        let mut seen = 0usize;
+        while seen < accesses {
+            if let Some(a) = thread.next_uop().kind.mem_addr() {
+                let line = geom.line_of(Addr(a.0));
+                conventional.access(line);
+                sectored.access(line);
+                seen += 1;
             }
-            let delta = if conventional.miss_ratio() > 0.0 {
-                (sectored.miss_ratio() - conventional.miss_ratio()) / conventional.miss_ratio()
-            } else {
-                0.0
-            };
-            vec![
-                spec.name.to_string(),
-                format!("{:.2}%", conventional.miss_ratio() * 100.0),
-                format!("{:.2}%", sectored.miss_ratio() * 100.0),
-                format!("{:+.0}%", delta * 100.0),
-                format!("{:.2}", sectored.mean_sector_occupancy()),
-            ]
-        },
-        |_| None,
-        timing,
-    );
+        }
+        let delta = if conventional.miss_ratio() > 0.0 {
+            (sectored.miss_ratio() - conventional.miss_ratio()) / conventional.miss_ratio()
+        } else {
+            0.0
+        };
+        vec![
+            spec.name.to_string(),
+            format!("{:.2}%", conventional.miss_ratio() * 100.0),
+            format!("{:.2}%", sectored.miss_ratio() * 100.0),
+            format!("{:+.0}%", delta * 100.0),
+            format!("{:.2}", sectored.mean_sector_occupancy()),
+        ]
+    });
     // A sparse pointer-chase (one line per sector over 2x the cache):
     // the workload class where sectoring's fragmentation bites hardest.
     {
@@ -963,14 +934,7 @@ fn run_sectoring_comparison(plan: RunPlan, args: &Args, jobs: usize, timing: &mu
 /// same low-latency unshared access as CGCT but pays three hops for
 /// cache-to-cache data, which is exactly the trade-off the paper claims
 /// CGCT sidesteps.
-fn run_directory_comparison(
-    plan: RunPlan,
-    args: &Args,
-    jobs: usize,
-    timing: &mut TimingLog,
-    traces: &mut Vec<cgct_trace::TraceReport>,
-) {
-    use cgct_system::run_once_cached;
+fn run_directory_comparison(h: &mut Harness, args: &Args) {
     println!("## Snooping vs CGCT vs directory (§1.2 comparison)\n");
     let modes = [
         CoherenceMode::Baseline,
@@ -984,36 +948,19 @@ fn run_directory_comparison(
             sets: 8192,
         },
     ];
-    // One work item per (benchmark, mode) cell, benchmark-major; rows
-    // fold from canonical-order chunks of three.
-    let (labels, items) = cross_product(&cgct_workloads::all_benchmarks(), &modes);
-    let results: Vec<_> = run_pooled(
-        jobs,
-        "directory",
-        labels,
-        items,
-        |_, (spec, mode)| {
-            let cfg = SystemConfig::paper_default(mode);
-            run_once_cached(&cfg, &spec, plan.base_seed, &plan)
-        },
-        |(r, hit)| Some((r.runtime_cycles, r.mem_events, *hit)),
-        timing,
-    )
-    .into_iter()
-    .map(|(r, _)| r)
-    .collect();
-    if args.trace_dir.is_some() {
-        // Canonical order is guaranteed by run_pooled (item order, not
-        // completion order), so the trace summary is deterministic
-        // under any CGCT_JOBS.
-        for r in &results {
-            if let Some(t) = &r.trace {
-                let mut t = t.clone();
-                t.label = format!("directory:{}", t.label);
-                traces.push(t);
-            }
+    // One cell per (benchmark, mode), benchmark-major; rows fold from
+    // item-order chunks of four.
+    let mut cells = Vec::new();
+    for spec in cgct_workloads::all_benchmarks() {
+        for mode in modes {
+            cells.push(cell(
+                &spec,
+                SystemConfig::paper_default(mode),
+                h.plan.base_seed,
+            ));
         }
     }
+    let results = h.cells("directory", cells, true);
     let mut rows = Vec::new();
     for chunk in results.chunks(modes.len()) {
         let base_runtime = chunk[0].runtime_cycles as f64;
@@ -1060,69 +1007,44 @@ fn run_directory_comparison(
 /// tracking, up to 4 KB = page-grain): exposes the trade-off between
 /// spatial coverage and false region-sharing that makes mid-size regions
 /// the sweet spot.
-fn run_region_sweep(plan: RunPlan, args: &Args, jobs: usize, timing: &mut TimingLog) {
-    use cgct_system::run_once_cached;
+fn run_region_sweep(h: &mut Harness, args: &Args) {
     println!("## Region-size sweep (64B - 4KB, mean across benchmarks)\n");
     let benchmarks = cgct_workloads::all_benchmarks();
-    let base_runtime: Vec<f64> = run_pooled(
-        jobs,
-        "region-sweep-base",
-        benchmarks.iter().map(|b| b.name.to_string()).collect(),
-        benchmarks.clone(),
-        |_, spec| {
-            let cfg = SystemConfig::paper_default(CoherenceMode::Baseline);
-            let (r, hit) = run_once_cached(&cfg, &spec, plan.base_seed, &plan);
-            (r.runtime_cycles, r.mem_events, hit)
-        },
-        |(rt, ev, hit)| Some((*rt, *ev, *hit)),
-        timing,
-    )
-    .into_iter()
-    .map(|(rt, _, _)| rt as f64)
-    .collect();
-    eprintln!("region-sweep baselines done");
     let sizes = [64u64, 128, 256, 512, 1024, 2048, 4096];
-    // Region-major item order; per-region sums fold from canonical
-    // chunks, so the (order-sensitive) f64 accumulation matches a
-    // serial sweep bit for bit.
-    let mut labels = Vec::new();
-    let mut items = Vec::new();
+    // The baselines, then one chunk of benchmarks per region size; the
+    // per-region sums fold from item-order chunks, so the
+    // (order-sensitive) f64 accumulation is the same for any worker
+    // count.
+    let seed = h.plan.base_seed;
+    let mut cells: Vec<_> = benchmarks
+        .iter()
+        .map(|spec| {
+            cell(
+                spec,
+                SystemConfig::paper_default(CoherenceMode::Baseline),
+                seed,
+            )
+        })
+        .collect();
     for &region_bytes in &sizes {
         for spec in &benchmarks {
-            labels.push(format!("{}B/{}", region_bytes, spec.name));
-            items.push((region_bytes, spec.clone()));
-        }
-    }
-    let results = run_pooled(
-        jobs,
-        "region-sweep",
-        labels,
-        items,
-        |_, (region_bytes, spec)| {
-            let cfg = SystemConfig::paper_default(CoherenceMode::Cgct {
+            let mode = CoherenceMode::Cgct {
                 region_bytes,
                 sets: 8192,
-            });
-            let (r, hit) = run_once_cached(&cfg, &spec, plan.base_seed, &plan);
-            (
-                r.runtime_cycles as f64,
-                r.metrics.avoided_fraction(),
-                r.mem_events,
-                hit,
-            )
-        },
-        |(rt, _, ev, hit)| Some((*rt as u64, *ev, *hit)),
-        timing,
-    );
+            };
+            cells.push(cell(spec, SystemConfig::paper_default(mode), seed));
+        }
+    }
+    let results = h.cells("region-sweep", cells, false);
+    let (base, sweep) = results.split_at(benchmarks.len());
     let mut rows = Vec::new();
     let mut chart = Vec::new();
-    for (size_idx, chunk) in results.chunks(benchmarks.len()).enumerate() {
-        let region_bytes = sizes[size_idx];
+    for (chunk, region_bytes) in sweep.chunks(benchmarks.len()).zip(sizes) {
         let mut reduction_sum = 0.0;
         let mut avoided_sum = 0.0;
-        for ((runtime, avoided, _, _), base) in chunk.iter().zip(&base_runtime) {
-            reduction_sum += 100.0 * (1.0 - runtime / base);
-            avoided_sum += avoided * 100.0;
+        for (r, b) in chunk.iter().zip(base) {
+            reduction_sum += 100.0 * (1.0 - r.runtime_cycles as f64 / b.runtime_cycles as f64);
+            avoided_sum += r.metrics.avoided_fraction() * 100.0;
         }
         let n = benchmarks.len() as f64;
         rows.push(vec![
@@ -1151,9 +1073,8 @@ fn run_region_sweep(plan: RunPlan, args: &Args, jobs: usize, timing: &mut Timing
 
 /// Energy estimate (§6 future work): relative interconnect/memory energy
 /// for baseline vs CGCT, including the RCA's own lookup overhead.
-fn run_energy(plan: RunPlan, args: &Args, jobs: usize, timing: &mut TimingLog) {
+fn run_energy(h: &mut Harness, args: &Args) {
     use cgct_system::energy::{energy_of, EnergyModel};
-    use cgct_system::run_once_cached;
     println!("## Energy (§6 extension) — relative units, default weights\n");
     let weights = EnergyModel::default_weights();
     // Three configurations per benchmark: baseline, baseline+Jetty,
@@ -1172,26 +1093,14 @@ fn run_energy(plan: RunPlan, args: &Args, jobs: usize, timing: &mut TimingLog) {
             ("cgct", cgct_cfg),
         ]
     };
-    let mut labels = Vec::new();
-    let mut items = Vec::new();
+    let mut cells = Vec::new();
     for spec in cgct_workloads::all_benchmarks() {
         for (tag, cfg) in &variants {
-            labels.push(format!("{}/{tag}", spec.name));
-            items.push((spec.clone(), cfg.clone()));
+            let (_, item) = cell(&spec, cfg.clone(), h.plan.base_seed);
+            cells.push((format!("{}/{tag}", spec.name), item));
         }
     }
-    let results: Vec<_> = run_pooled(
-        jobs,
-        "energy",
-        labels,
-        items,
-        |_, (spec, cfg)| run_once_cached(&cfg, &spec, plan.base_seed, &plan),
-        |(r, hit)| Some((r.runtime_cycles, r.mem_events, *hit)),
-        timing,
-    )
-    .into_iter()
-    .map(|(r, _)| r)
-    .collect();
+    let results = h.cells("energy", cells, false);
     let mut rows = Vec::new();
     for chunk in results.chunks(variants.len()) {
         let (base, jetty, cgct) = (&chunk[0], &chunk[1], &chunk[2]);
@@ -1237,15 +1146,8 @@ fn run_energy(plan: RunPlan, args: &Args, jobs: usize, timing: &mut TimingLog) {
 /// directory, directory+RCA lookup bypass, clustered hierarchy) are
 /// swept from 4 to 64 nodes on the same workloads to locate the
 /// crossover where snooping stops scaling.
-fn run_scalability(
-    plan: RunPlan,
-    args: &Args,
-    jobs: usize,
-    timing: &mut TimingLog,
-    traces: &mut Vec<cgct_trace::TraceReport>,
-) {
+fn run_scalability(h: &mut Harness, args: &Args) {
     use cgct_interconnect::Topology;
-    use cgct_system::run_once_cached;
     println!("## Scalability — 4 to 64 nodes, directory and hierarchical machines\n");
     // Broadcast snooping stops at the bus; past it the contenders are a
     // flat full-map directory, the same directory with region-tracking
@@ -1268,46 +1170,20 @@ fn run_scalability(
         .iter()
         .map(|b| cgct_workloads::by_name(b).expect("benchmark"))
         .collect();
-    let mut labels = Vec::new();
-    let mut items = Vec::new();
+    // Five cells share each benchmark/mode pair, so a cell's label
+    // (and trace label) names its node count too.
+    let mut cells = Vec::new();
     for &cores in &core_counts {
         for spec in &benchmarks {
-            for &mode in &modes {
-                labels.push(format!("{cores}c/{}/{}", spec.name, mode.label()));
-                items.push((cores, spec.clone(), mode));
+            for mode in modes {
+                let mut cfg = SystemConfig::paper_default(mode);
+                cfg.topology = Topology::for_cores(cores);
+                let (label, item) = cell(spec, cfg, h.plan.base_seed);
+                cells.push((format!("{cores}c/{label}"), item));
             }
         }
     }
-    let results: Vec<_> = run_pooled(
-        jobs,
-        "scalability",
-        labels,
-        items,
-        |_, (cores, spec, mode)| {
-            let mut cfg = SystemConfig::paper_default(mode);
-            cfg.topology = Topology::for_cores(cores);
-            run_once_cached(&cfg, &spec, plan.base_seed, &plan)
-        },
-        |(r, hit)| Some((r.runtime_cycles, r.mem_events, *hit)),
-        timing,
-    )
-    .into_iter()
-    .map(|(r, _)| r)
-    .collect();
-    if args.trace_dir.is_some() {
-        // A run's trace label names its benchmark and mode but not its
-        // node count, so the label gains the count: five cells share
-        // each benchmark/mode pair. Item order is canonical, as in
-        // `run_directory_comparison`.
-        let per_count = benchmarks.len() * modes.len();
-        for (i, r) in results.iter().enumerate() {
-            if let Some(t) = &r.trace {
-                let mut t = t.clone();
-                t.label = format!("scalability:{}c/{}", core_counts[i / per_count], t.label);
-                traces.push(t);
-            }
-        }
-    }
+    let results = h.cells("scalability", cells, true);
     let mut rows = Vec::new();
     for (ci, &cores) in core_counts.iter().enumerate() {
         for (bi, spec) in benchmarks.iter().enumerate() {
@@ -1365,7 +1241,7 @@ fn run_scalability(
 }
 
 /// Ablations: the design choices §3 calls out, plus the cheaper variants.
-fn run_ablations(plan: RunPlan, args: &Args, jobs: usize, timing: &mut TimingLog) {
+fn run_ablations(h: &mut Harness, args: &Args) {
     let cgct512 = CoherenceMode::Cgct {
         region_bytes: 512,
         sets: 8192,
@@ -1456,8 +1332,12 @@ fn run_ablations(plan: RunPlan, args: &Args, jobs: usize, timing: &mut TimingLog
     ];
     let mut rows = Vec::new();
     for (name, modes, adjust) in &variants {
-        let suite = Suite::run_configured(plan, modes, adjust, jobs, |_| {});
-        timing.extend_runs(&format!("ablation:{name}"), &suite.timings);
+        let cells = Suite::cells(&h.plan, modes, adjust);
+        let suite = Suite::from_results(
+            h.plan,
+            modes,
+            h.cells(&format!("ablation:{name}"), cells, false),
+        );
         let label = modes[1].label();
         let sp = speedups(&suite, std::slice::from_ref(&label));
         let (all, comm) = summary_reductions(&sp, &label);

@@ -307,8 +307,8 @@ impl SystemConfig {
 /// `scripts/ci.sh`) none of them may change simulated outcomes, only
 /// whether/how fast/with what instrumentation they are produced.
 /// In-process reuse of repeated sweep cells is not a knob: the
-/// `experiments` binary always installs it ([`crate::runner::install_memo`])
-/// and `CGCT_TRACE` bypasses it.
+/// `experiments` binary always passes a [`crate::runner::Memo`] to
+/// [`crate::runner::run_cells`], except when `CGCT_TRACE` is on.
 ///
 /// Values are read fresh on every call — the `experiments` binary
 /// rewrites some of these while handling its own flags, and callers

@@ -1,36 +1,30 @@
 //! Drivers for every experiment in the paper's evaluation (§5).
 //!
-//! A [`Suite`] runs the nine benchmarks under a set of coherence modes and
-//! caches the aggregated results; the `fig*` functions then derive each
-//! figure's data from it. Rendering to tables lives in [`crate::report`];
-//! the `cgct-bench` crate's `experiments` binary drives everything and
-//! writes `EXPERIMENTS.md`.
+//! Every sweep here is a list of labelled cells ([`WorkItem`]s) and a
+//! fold over their results: [`Suite::cells`] lists a suite's cells and
+//! [`Suite::from_results`] folds them, and the `fig*` functions and
+//! [`rca_stats`] derive each figure's data from a folded suite. The
+//! cells in between run through the one cell path,
+//! [`crate::runner::run_cells`] — in [`Suite::run`] here, and in the
+//! `cgct-bench` crate's `experiments` binary, which also times every
+//! cell, reuses repeated ones and writes `EXPERIMENTS.md`. Rendering to
+//! tables lives in [`crate::report`].
 
 use crate::config::{CoherenceMode, SystemConfig};
-use crate::runner::{run_once_cached, AggregateResult, RunPlan, WorkItem};
-use cgct_sim::pool::{self, ItemReport};
+use crate::machine::RunResult;
+use crate::runner::{run_cells, AggregateResult, RunPlan, WorkItem};
 use cgct_sim::ConfidenceInterval;
 use cgct_workloads::{all_benchmarks, commercial_names};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
-/// Runs a set of `(benchmark, mode)` configurations and caches results.
+/// The aggregated results of a set of `(benchmark, mode)`
+/// configurations.
 #[derive(Debug)]
 pub struct Suite {
     /// Keyed by `(benchmark, mode label)`.
     pub results: BTreeMap<(String, String), AggregateResult>,
     /// The plan every configuration ran with.
     pub plan: RunPlan,
-    /// `(label, wall seconds, simulated cycles, memory events, reused)`
-    /// per work item, in canonical item order (benchmark-major,
-    /// then mode, then seed) — the raw material for
-    /// `results/timing.json`. Cycles are the item's measured-phase
-    /// `runtime_cycles` and events its delivered memory completions, so
-    /// simulation throughput (cycles/sec, events/sec) is derivable per
-    /// item; the flag records whether the item was reused from an
-    /// earlier identical cell ([`crate::runner::Memo`]) instead of
-    /// simulated.
-    pub timings: Vec<(String, f64, u64, u64, bool)>,
 }
 
 /// The paper's standard mode set: baseline plus CGCT at the three region
@@ -62,95 +56,69 @@ pub fn half_size_mode() -> CoherenceMode {
 }
 
 impl Suite {
-    /// Runs every benchmark under every mode on the deterministic pool
-    /// (worker count from `CGCT_JOBS` or the machine's available
-    /// parallelism). Results are averaged over `plan.runs` seeds.
-    pub fn run(plan: RunPlan, modes: &[CoherenceMode]) -> Suite {
-        Self::run_with(plan, modes, |cfg| cfg)
-    }
-
-    /// Like [`Suite::run`], applying `adjust` to every system config
-    /// (used by ablation studies to toggle features).
-    pub fn run_with(
-        plan: RunPlan,
+    /// The suite's cells: every benchmark under every mode (its paper
+    /// configuration passed through `adjust`) at every seed of `plan`,
+    /// benchmark-major, then mode, then seed, each labelled
+    /// `benchmark/mode#seed` ([`WorkItem::label`]). Each seed comes
+    /// from [`RunPlan::seed_for`], never from worker identity.
+    pub fn cells(
+        plan: &RunPlan,
         modes: &[CoherenceMode],
-        adjust: impl Fn(SystemConfig) -> SystemConfig + Sync,
-    ) -> Suite {
-        Self::run_configured(plan, modes, adjust, pool::jobs(), |_| {})
-    }
-
-    /// The fully-general entry point: explicit worker count and a
-    /// progress observer (called after every completed item, from
-    /// whichever worker finished it).
-    ///
-    /// The work list is the full `(benchmark, mode, seed)`
-    /// cross-product in canonical order. Each item is a pure
-    /// [`WorkItem`] whose seed comes from [`RunPlan::seed_for`] —
-    /// never from worker identity — and results are merged back in
-    /// canonical order, so any `jobs` value (including 1, the serial
-    /// escape hatch) produces bit-identical aggregates.
-    pub fn run_configured(
-        plan: RunPlan,
-        modes: &[CoherenceMode],
-        adjust: impl Fn(SystemConfig) -> SystemConfig + Sync,
-        jobs: usize,
-        observe: impl Fn(ItemReport) + Sync,
-    ) -> Suite {
-        let benchmarks = all_benchmarks();
-        let mut items: Vec<WorkItem> = Vec::new();
-        for spec in &benchmarks {
+        adjust: impl Fn(SystemConfig) -> SystemConfig,
+    ) -> Vec<(String, WorkItem)> {
+        let mut cells = Vec::new();
+        for spec in all_benchmarks() {
             for mode in modes {
                 let cfg = adjust(SystemConfig::paper_default(*mode));
                 for run in 0..plan.runs {
-                    items.push(WorkItem {
+                    let item = WorkItem {
                         spec: spec.clone(),
                         cfg: cfg.clone(),
                         seed: plan.seed_for(run),
-                    });
+                    };
+                    cells.push((item.label(), item));
                 }
             }
         }
-        let labels: Vec<String> = items.iter().map(WorkItem::label).collect();
-        let seconds = Mutex::new(vec![0.0f64; items.len()]);
-        let flagged: Vec<_> = pool::run_observed(
-            jobs,
-            items,
-            |_, item| item.execute_cached(&plan),
-            |report| {
-                seconds.lock().expect("timing poisoned")[report.index] = report.seconds;
-                observe(report);
-            },
-        );
-        let cycles: Vec<(u64, u64, bool)> = flagged
-            .iter()
-            .map(|(r, hit)| (r.runtime_cycles, r.mem_events, *hit))
-            .collect();
-        let runs: Vec<_> = flagged.into_iter().map(|(r, _)| r).collect();
-        // Merge out-of-order completions back in canonical order: the
-        // items for configuration group `g` are the contiguous chunk
-        // `g*runs .. (g+1)*runs`, already in ascending seed order.
-        let mut results = BTreeMap::new();
-        let mut chunks = runs.into_iter();
-        for spec in &benchmarks {
+        cells
+    }
+
+    /// Folds the results of [`Suite::cells`], in item order, into
+    /// per-configuration aggregates keyed by `modes`' labels. The runs
+    /// of a configuration are a contiguous chunk in ascending seed
+    /// order, so the aggregates are bit-identical whatever ran them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `results` is shorter than the suite's cell list.
+    pub fn from_results(plan: RunPlan, modes: &[CoherenceMode], results: Vec<RunResult>) -> Suite {
+        let mut chunks = results.into_iter();
+        let mut grouped = BTreeMap::new();
+        for spec in all_benchmarks() {
             for mode in modes {
                 let group: Vec<_> = (&mut chunks).take(plan.runs as usize).collect();
-                results.insert(
+                grouped.insert(
                     (spec.name.to_string(), mode.label()),
                     AggregateResult::from_runs(group),
                 );
             }
         }
-        let timings = labels
-            .into_iter()
-            .zip(seconds.into_inner().expect("timing poisoned"))
-            .zip(cycles)
-            .map(|((label, secs), (cyc, ev, hit))| (label, secs, cyc, ev, hit))
-            .collect();
         Suite {
-            results,
+            results: grouped,
             plan,
-            timings,
         }
+    }
+
+    /// Runs the suite's cells on `jobs` workers (no reuse) and folds
+    /// them.
+    pub fn run(
+        plan: RunPlan,
+        modes: &[CoherenceMode],
+        adjust: impl Fn(SystemConfig) -> SystemConfig,
+        jobs: usize,
+    ) -> Suite {
+        let runs = run_cells(Self::cells(&plan, modes, adjust), &plan, jobs, None, |_| {});
+        Self::from_results(plan, modes, runs.into_iter().map(|r| r.result).collect())
     }
 
     /// The aggregated result for `(benchmark, mode_label)`.
@@ -412,57 +380,76 @@ pub struct RcaStatsRow {
     pub self_invalidations_per_mreq: f64,
 }
 
-/// Builds the RCA statistics table (§3.2's eviction distribution needs
-/// real eviction pressure, so this runs its own quarter-scale
-/// configurations — 256 KB L2, 2K-set RCA — preserving the paper's 8:1
-/// RCA-reach-to-cache ratio; see `SystemConfig::quarter_scale`). Uses the
-/// main suite only for benchmark enumeration.
-pub fn rca_stats(suite: &Suite) -> Vec<RcaStatsRow> {
-    let plan = suite.plan;
-    let cgct_mode = CoherenceMode::Cgct {
+/// The RCA statistics sweep's plan: at most two seeds of `plan`.
+fn rca_stats_plan(plan: &RunPlan) -> RunPlan {
+    RunPlan {
+        runs: plan.runs.min(2),
+        ..*plan
+    }
+}
+
+/// The RCA statistics sweep's modes: baseline and CGCT-512B (its RCA
+/// shrunk to 2K sets by [`SystemConfig::quarter_scale`]).
+const RCA_STATS_MODES: [CoherenceMode; 2] = [
+    CoherenceMode::Baseline,
+    CoherenceMode::Cgct {
         region_bytes: 512,
-        sets: 8192, // rewritten to 2048 by quarter_scale
-    };
-    // Fan the per-benchmark mini-experiments out on the pool; results
-    // come back in canonical benchmark order.
-    pool::run(suite.benchmarks(), |_, b| {
-        let spec = cgct_workloads::by_name(&b).expect("registered benchmark");
-        let run = |mode: CoherenceMode| {
-            let cfg = SystemConfig::quarter_scale(mode);
-            let runs: Vec<_> = (0..plan.runs.min(2))
-                .map(|s| run_once_cached(&cfg, &spec, plan.seed_for(s), &plan).0)
-                .collect();
-            AggregateResult::from_runs(runs)
-        };
-        let base = &run(CoherenceMode::Baseline);
-        let cgct = &run(cgct_mode);
-        let n = cgct.runs.len() as f64;
-        let mut row = RcaStatsRow {
-            benchmark: b.clone(),
-            evicted_empty: 0.0,
-            evicted_one: 0.0,
-            evicted_two: 0.0,
-            mean_lines_per_region: 0.0,
-            miss_ratio_increase: 0.0,
-            self_invalidations_per_mreq: 0.0,
-        };
-        for r in &cgct.runs {
-            row.evicted_empty += r.rca.evicted_empty_fraction / n;
-            row.evicted_one += r.rca.evicted_one_line_fraction / n;
-            row.evicted_two += r.rca.evicted_two_lines_fraction / n;
-            row.mean_lines_per_region += r.rca.mean_lines_per_region / n;
-            let reqs = r.metrics.requests.total().max(1) as f64;
-            row.self_invalidations_per_mreq += r.rca.self_invalidations as f64 / reqs * 1e6 / n;
-        }
-        let base_ratio = base.l2_miss_ratio.mean();
-        let cgct_ratio = cgct.l2_miss_ratio.mean();
-        row.miss_ratio_increase = if base_ratio > 0.0 {
-            (cgct_ratio - base_ratio) / base_ratio
-        } else {
-            0.0
-        };
-        row
+        sets: 8192,
+    },
+];
+
+/// The cells behind [`rca_stats`]. §3.2's eviction distribution needs
+/// real eviction pressure, so they run quarter-scale configurations —
+/// 256 KB L2, 2K-set RCA — preserving the paper's 8:1
+/// RCA-reach-to-cache ratio (see `SystemConfig::quarter_scale`): every
+/// benchmark under baseline and CGCT-512B for up to two seeds of
+/// `plan`, in [`Suite::cells`] order.
+pub fn rca_stats_cells(plan: &RunPlan) -> Vec<(String, WorkItem)> {
+    Suite::cells(&rca_stats_plan(plan), &RCA_STATS_MODES, |cfg| {
+        SystemConfig::quarter_scale(cfg.mode)
     })
+}
+
+/// Builds the RCA statistics table (§3.2's eviction distribution,
+/// §5.2's lines per region, the inclusion miss-ratio cost) from the
+/// results of [`rca_stats_cells`] under the same `plan`, in item order.
+pub fn rca_stats(plan: &RunPlan, results: Vec<RunResult>) -> Vec<RcaStatsRow> {
+    let suite = Suite::from_results(rca_stats_plan(plan), &RCA_STATS_MODES, results);
+    let cgct_label = RCA_STATS_MODES[1].label();
+    suite
+        .benchmarks()
+        .into_iter()
+        .map(|b| {
+            let base = suite.get(&b, "baseline");
+            let cgct = suite.get(&b, &cgct_label);
+            let n = cgct.runs.len() as f64;
+            let mut row = RcaStatsRow {
+                benchmark: b,
+                evicted_empty: 0.0,
+                evicted_one: 0.0,
+                evicted_two: 0.0,
+                mean_lines_per_region: 0.0,
+                miss_ratio_increase: 0.0,
+                self_invalidations_per_mreq: 0.0,
+            };
+            for r in &cgct.runs {
+                row.evicted_empty += r.rca.evicted_empty_fraction / n;
+                row.evicted_one += r.rca.evicted_one_line_fraction / n;
+                row.evicted_two += r.rca.evicted_two_lines_fraction / n;
+                row.mean_lines_per_region += r.rca.mean_lines_per_region / n;
+                let reqs = r.metrics.requests.total().max(1) as f64;
+                row.self_invalidations_per_mreq += r.rca.self_invalidations as f64 / reqs * 1e6 / n;
+            }
+            let base_ratio = base.l2_miss_ratio.mean();
+            let cgct_ratio = cgct.l2_miss_ratio.mean();
+            row.miss_ratio_increase = if base_ratio > 0.0 {
+                (cgct_ratio - base_ratio) / base_ratio
+            } else {
+                0.0
+            };
+            row
+        })
+        .collect()
 }
 
 // -------------------------------------------------------------------
@@ -574,6 +561,8 @@ mod tests {
                     sets: 8192,
                 },
             ],
+            |c| c,
+            2,
         )
     }
 
@@ -605,7 +594,11 @@ mod tests {
         let (_all, _comm) = summary_reductions(&sp, "cgct-512B");
         let f10 = fig10(&suite);
         assert!(f10.iter().all(|r| r.base_avg >= r.cgct_avg * 0.2));
-        let rs = rca_stats(&suite);
+        let cells = rca_stats_cells(&suite.plan);
+        assert_eq!(cells.len(), 9 * 2 * 2);
+        assert_eq!(cells[2].0, "ocean/cgct-512B-2048sets#s5");
+        let runs = run_cells(cells, &suite.plan, 2, None, |_| {});
+        let rs = rca_stats(&suite.plan, runs.into_iter().map(|r| r.result).collect());
         assert_eq!(rs.len(), 9);
     }
 

@@ -48,4 +48,4 @@ pub use machine::{Machine, RunResult};
 pub use memsys::MemorySystem;
 pub use metrics::{MemMetrics, RequestBreakdown, RequestCategory};
 pub use oracle::classify;
-pub use runner::{run_averaged, run_once, run_once_cached, AggregateResult, RunPlan};
+pub use runner::{run_averaged, run_cells, run_once, AggregateResult, RunPlan};

@@ -135,8 +135,6 @@ impl Machine {
     pub fn new(cfg: SystemConfig, spec: &BenchmarkSpec, seed: u64) -> Self {
         let seq = SeedSequence::new(seed);
         let n = cfg.topology.total_cores();
-        let core_cfg: CoreConfig = cfg.core;
-        let cores = (0..n).map(|_| Core::new(core_cfg)).collect();
         let threads = (0..n)
             .map(|c| {
                 Box::new(WorkloadThread::new(
@@ -147,23 +145,7 @@ impl Machine {
                 )) as Box<dyn UopSource + Send>
             })
             .collect();
-        let mem = MemorySystem::new(cfg, seq.stream(1000));
-        let mut machine = Machine {
-            cores,
-            threads,
-            mem,
-            now: Cycle::ZERO,
-            benchmark: spec.name.to_string(),
-            wakeups: vec![Cycle::ZERO; n],
-            epoch_committed: vec![0; n],
-            cycle_skip: true,
-            trace: None,
-            seed,
-        };
-        if trace_default() {
-            machine.install_trace();
-        }
-        machine
+        Self::from_sources(cfg, threads, spec.name, seed)
     }
 
     /// Builds a machine driven by caller-provided instruction sources —

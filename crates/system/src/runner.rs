@@ -1,19 +1,23 @@
-//! Multi-seed experiment runner.
+//! The one cell path of every experiment sweep.
 //!
-//! The paper averages several perturbed runs per benchmark and reports
-//! 95% confidence intervals (§4). [`run_averaged`] does the same,
-//! fanning seeds out across the deterministic thread pool
-//! ([`cgct_sim::pool`]). The unit of scheduling is a [`WorkItem`] — a
-//! `(benchmark, configuration, seed)` triple executed by a pure
-//! function — so results never depend on which worker ran what.
+//! The paper's evaluation (§4–5) is a fold over independent
+//! `(benchmark, configuration, seed)` cells, averaging several perturbed
+//! runs per benchmark with 95% confidence intervals. A cell is a
+//! [`WorkItem`], executed by a pure function, and [`run_cells`] is the
+//! only way a sweep runs its cells: on the deterministic thread pool
+//! ([`cgct_sim::pool`]) with an explicit worker count, through an
+//! optional in-process [`Memo`], each cell timed, the results handed
+//! back in item order. [`run_averaged`], the [`crate::experiments`]
+//! sweeps and every section of the `experiments` binary use it, so
+//! results never depend on which worker ran what.
 
 use crate::config::SystemConfig;
 use crate::machine::{Machine, RunResult};
-use cgct_sim::{pool, RunningStats};
+use cgct_sim::pool::{self, ItemReport};
+use cgct_sim::RunningStats;
 use cgct_workloads::BenchmarkSpec;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// How much work one experiment runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,18 +107,6 @@ impl WorkItem {
     pub fn execute(&self, plan: &RunPlan) -> RunResult {
         run_once(&self.cfg, &self.spec, self.seed, plan)
     }
-
-    /// Runs the item through the process-global [`Memo`], if one is
-    /// installed ([`install_memo`]): a cell this process already
-    /// simulated is handed back without simulating again. The flag
-    /// records that reuse. Without an installed memo this is exactly
-    /// [`WorkItem::execute`].
-    pub fn execute_cached(&self, plan: &RunPlan) -> (RunResult, bool) {
-        match MEMO.get() {
-            Some(memo) => memo.execute(self, plan),
-            None => (self.execute(plan), false),
-        }
-    }
 }
 
 /// An in-process memo of finished sweep cells.
@@ -134,8 +126,6 @@ impl WorkItem {
 #[derive(Debug, Default)]
 pub struct Memo {
     cells: Mutex<BTreeMap<String, RunResult>>,
-    reused: AtomicU64,
-    simulated: AtomicU64,
 }
 
 impl Memo {
@@ -156,49 +146,75 @@ impl Memo {
     fn execute(&self, item: &WorkItem, plan: &RunPlan) -> (RunResult, bool) {
         let key = Self::key(item, plan);
         if let Some(result) = self.cells.lock().expect("memo poisoned").get(&key) {
-            self.reused.fetch_add(1, Ordering::Relaxed);
             return (result.clone(), true);
         }
         let result = item.execute(plan);
-        self.simulated.fetch_add(1, Ordering::Relaxed);
         self.cells
             .lock()
             .expect("memo poisoned")
             .insert(key, result.clone());
         (result, false)
     }
-
-    /// `(reused, simulated)` cell counts since the previous call (or
-    /// construction); zeroes both.
-    pub fn take_counts(&self) -> (u64, u64) {
-        (
-            self.reused.swap(0, Ordering::Relaxed),
-            self.simulated.swap(0, Ordering::Relaxed),
-        )
-    }
 }
 
-/// The process-global memo behind [`WorkItem::execute_cached`].
-static MEMO: OnceLock<Memo> = OnceLock::new();
+/// One finished cell of [`run_cells`].
+#[derive(Debug, Clone)]
+pub struct CellRun {
+    /// The label the cell was submitted under.
+    pub label: String,
+    /// The cell's result.
+    pub result: RunResult,
+    /// Wall-clock seconds the cell took on its worker (for a reused
+    /// cell, the memo lookup).
+    pub seconds: f64,
+    /// Whether the result came from the memo instead of a simulation.
+    pub reused: bool,
+}
 
-/// Installs the process-global [`Memo`], unless request-lifetime
-/// tracing is on (`CGCT_TRACE`): a reused cell carries no trace spans,
-/// so a traced run must simulate every cell.
+/// Runs labelled cells under `plan` on `jobs` workers of the
+/// deterministic pool, through `memo` if one is given, and returns
+/// every cell's result, wall seconds and reuse flag in item order.
 ///
-/// The library default is no reuse: only a binary that calls this (the
-/// `experiments` harness does) shares cells between runs. Tests that
-/// run the same suite several times in one process, such as the
-/// worker-count determinism test, would otherwise compare a result
-/// with its own copy.
-pub fn install_memo() {
-    if !crate::config::env_knobs().trace {
-        MEMO.get_or_init(Memo::default);
-    }
-}
-
-/// The memo [`install_memo`] installed, if any.
-pub fn memo() -> Option<&'static Memo> {
-    MEMO.get()
+/// `observe` sees each completion as it happens (from whichever worker
+/// finished it; progress display only). Each cell's seed is part of its
+/// [`WorkItem`], so the results are the same for any `jobs`, including
+/// 1, which runs the cells in order on the calling thread.
+///
+/// # Panics
+///
+/// Propagates a panic raised by a cell.
+pub fn run_cells(
+    cells: Vec<(String, WorkItem)>,
+    plan: &RunPlan,
+    jobs: usize,
+    memo: Option<&Memo>,
+    observe: impl Fn(ItemReport) + Sync,
+) -> Vec<CellRun> {
+    let seconds = Mutex::new(vec![0.0f64; cells.len()]);
+    let runs = pool::run_observed(
+        jobs,
+        cells,
+        |_, (label, item)| {
+            let (result, reused) = match memo {
+                Some(memo) => memo.execute(&item, plan),
+                None => (item.execute(plan), false),
+            };
+            (label, result, reused)
+        },
+        |report| {
+            seconds.lock().expect("timing poisoned")[report.index] = report.seconds;
+            observe(report);
+        },
+    );
+    runs.into_iter()
+        .zip(seconds.into_inner().expect("timing poisoned"))
+        .map(|((label, result, reused), seconds)| CellRun {
+            label,
+            result,
+            seconds,
+            reused,
+        })
+        .collect()
 }
 
 /// Mean/CI aggregation of several perturbed runs of one configuration.
@@ -274,40 +290,31 @@ pub fn run_once(cfg: &SystemConfig, spec: &BenchmarkSpec, seed: u64, plan: &RunP
     )
 }
 
-/// [`run_once`] through the process-global memo (see
-/// [`WorkItem::execute_cached`]); the flag records a reused cell.
-pub fn run_once_cached(
-    cfg: &SystemConfig,
-    spec: &BenchmarkSpec,
-    seed: u64,
-    plan: &RunPlan,
-) -> (RunResult, bool) {
-    WorkItem {
-        spec: spec.clone(),
-        cfg: cfg.clone(),
-        seed,
-    }
-    .execute_cached(plan)
-}
-
-/// Runs `plan.runs` perturbed seeds of one configuration on the
-/// deterministic pool (worker count from `CGCT_JOBS` or the machine's
-/// available parallelism) and aggregates them in seed order.
+/// Runs `plan.runs` perturbed seeds of one configuration on `jobs`
+/// workers and aggregates them in seed order.
 ///
 /// # Panics
 ///
-/// Panics if `plan.runs` is zero or a worker thread panics.
-pub fn run_averaged(cfg: &SystemConfig, spec: &BenchmarkSpec, plan: &RunPlan) -> AggregateResult {
+/// Panics if `plan.runs` is zero or a run panics.
+pub fn run_averaged(
+    cfg: &SystemConfig,
+    spec: &BenchmarkSpec,
+    plan: &RunPlan,
+    jobs: usize,
+) -> AggregateResult {
     assert!(plan.runs > 0, "need at least one run");
-    let items: Vec<WorkItem> = (0..plan.runs)
-        .map(|i| WorkItem {
-            spec: spec.clone(),
-            cfg: cfg.clone(),
-            seed: plan.seed_for(i),
+    let cells = (0..plan.runs)
+        .map(|i| {
+            let item = WorkItem {
+                spec: spec.clone(),
+                cfg: cfg.clone(),
+                seed: plan.seed_for(i),
+            };
+            (item.label(), item)
         })
         .collect();
-    let results = pool::run(items, |_, item| item.execute(plan));
-    AggregateResult::from_runs(results)
+    let runs = run_cells(cells, plan, jobs, None, |_| {});
+    AggregateResult::from_runs(runs.into_iter().map(|run| run.result).collect())
 }
 
 #[cfg(test)]
@@ -328,7 +335,7 @@ mod tests {
             runs: 2,
             base_seed: 10,
         };
-        let agg = run_averaged(&cfg, &spec, &plan);
+        let agg = run_averaged(&cfg, &spec, &plan, 2);
         assert_eq!(agg.runs.len(), 2);
         assert_eq!(agg.runtime.count(), 2);
         assert!(agg.mean_runtime() > 0.0);
@@ -402,7 +409,6 @@ mod tests {
         let (second, reused) = memo.execute(&item, &plan);
         assert!(reused, "an identical cell is reused");
         assert_eq!(second.snap().dump(), first.snap().dump());
-        assert_eq!(memo.take_counts(), (1, 1));
 
         let mut seed = item.clone();
         seed.seed += 1;
@@ -416,7 +422,84 @@ mod tests {
         let mut longer = plan;
         longer.instructions_per_core += 1;
         assert!(!memo.execute(&item, &longer).1, "plan is in the key");
-        assert_eq!(memo.take_counts(), (0, 4));
+    }
+
+    #[test]
+    fn run_cells_keeps_item_order_times_every_cell_and_flags_reuse() {
+        let plan = RunPlan {
+            warmup_per_core: 0,
+            instructions_per_core: 800,
+            max_cycles: 1_000_000,
+            runs: 2,
+            base_seed: 7,
+        };
+        let item = |bench: &str, mode: CoherenceMode, seed: u64| WorkItem {
+            spec: by_name(bench).unwrap(),
+            cfg: SystemConfig::paper_default(mode),
+            seed,
+        };
+        let cgct = CoherenceMode::Cgct {
+            region_bytes: 512,
+            sets: 8192,
+        };
+        // The last cell repeats the first.
+        let items = [
+            item("barnes", CoherenceMode::Baseline, 7),
+            item("ocean", cgct, 8),
+            item("tpc-w", CoherenceMode::Baseline, 7),
+            item("barnes", CoherenceMode::Baseline, 7),
+        ];
+        let cells = || -> Vec<(String, WorkItem)> {
+            items
+                .iter()
+                .enumerate()
+                .map(|(i, w)| (format!("{i}:{}", w.label()), w.clone()))
+                .collect()
+        };
+        let mut dumps = Vec::new();
+        for jobs in [1, 4] {
+            let memo = Memo::default();
+            let runs = run_cells(cells(), &plan, jobs, Some(&memo), |_| {});
+            let labels: Vec<&str> = runs.iter().map(|r| r.label.as_str()).collect();
+            assert_eq!(
+                labels,
+                [
+                    "0:barnes/baseline#s7",
+                    "1:ocean/cgct-512B#s8",
+                    "2:tpc-w/baseline#s7",
+                    "3:barnes/baseline#s7"
+                ],
+                "jobs={jobs}"
+            );
+            for (run, item) in runs.iter().zip(&items) {
+                assert_eq!(run.result.benchmark, item.spec.name, "jobs={jobs}");
+                assert!(run.seconds > 0.0, "{} has no seconds reading", run.label);
+            }
+            let reused: Vec<bool> = runs.iter().map(|r| r.reused).collect();
+            if jobs == 1 {
+                assert_eq!(reused, [false, false, false, true]);
+            } else {
+                // Four workers may start the repeat before its twin
+                // finishes; then both simulate.
+                assert!(!reused[..3].iter().any(|&r| r), "jobs={jobs}");
+            }
+            dumps.push(
+                runs.iter()
+                    .map(|r| r.result.snap().dump())
+                    .collect::<Vec<_>>(),
+            );
+        }
+        assert_eq!(dumps[0], dumps[1], "4 workers diverged from 1");
+        assert_eq!(dumps[0][3], dumps[0][0], "a reused cell is its twin");
+
+        // A repeated batch through the same memo is reused whole, at
+        // any worker count.
+        let memo = Memo::default();
+        run_cells(cells(), &plan, 4, Some(&memo), |_| {});
+        let again = run_cells(cells(), &plan, 4, Some(&memo), |_| {});
+        assert!(again.iter().all(|r| r.reused));
+        let without = run_cells(cells(), &plan, 4, None, |_| {});
+        assert!(without.iter().all(|r| !r.reused), "no memo, no reuse");
     }
 
     #[test]
@@ -440,6 +523,6 @@ mod tests {
             runs: 0,
             base_seed: 0,
         };
-        let _ = run_averaged(&cfg, &spec, &plan);
+        let _ = run_averaged(&cfg, &spec, &plan, 1);
     }
 }

@@ -7,7 +7,7 @@
 
 use cgct_sim::pool;
 use cgct_system::experiments::Suite;
-use cgct_system::{CoherenceMode, RunPlan};
+use cgct_system::{run_cells, CoherenceMode, RunPlan};
 
 fn tiny_plan() -> RunPlan {
     RunPlan {
@@ -51,9 +51,9 @@ fn fingerprint(suite: &Suite) -> Vec<(String, String, Vec<u64>)> {
 fn worker_count_never_changes_results() {
     let plan = tiny_plan();
     let modes = tiny_modes();
-    let serial = Suite::run_configured(plan, &modes, |c| c, 1, |_| {});
-    let two = Suite::run_configured(plan, &modes, |c| c, 2, |_| {});
-    let eight = Suite::run_configured(plan, &modes, |c| c, 8, |_| {});
+    let serial = Suite::run(plan, &modes, |c| c, 1);
+    let two = Suite::run(plan, &modes, |c| c, 2);
+    let eight = Suite::run(plan, &modes, |c| c, 8);
 
     let want = fingerprint(&serial);
     assert!(!want.is_empty());
@@ -78,8 +78,8 @@ fn worker_count_never_changes_results_for_directory_modes() {
             sets: 8192,
         },
     ];
-    let serial = Suite::run_configured(plan, &modes, |c| c, 1, |_| {});
-    let four = Suite::run_configured(plan, &modes, |c| c, 4, |_| {});
+    let serial = Suite::run(plan, &modes, |c| c, 1);
+    let four = Suite::run(plan, &modes, |c| c, 4);
 
     let want = fingerprint(&serial);
     assert!(!want.is_empty());
@@ -88,21 +88,18 @@ fn worker_count_never_changes_results_for_directory_modes() {
 
 #[test]
 fn timing_labels_stay_in_canonical_order() {
-    // Whatever order items *complete* in, the timing rows come back in
-    // build order: benchmark-major, then mode, then seed.
+    // Whatever order cells *complete* in, they come back in build
+    // order: benchmark-major, then mode, then seed.
     let plan = tiny_plan();
     let modes = tiny_modes();
-    let suite = Suite::run_configured(plan, &modes, |c| c, 4, |_| {});
-    let labels: Vec<&str> = suite
-        .timings
-        .iter()
-        .map(|(l, _, _, _, _)| l.as_str())
-        .collect();
-    // Every suite item is a real simulation, so every row must carry a
-    // non-zero simulated-cycle count (and some delivered memory
-    // completion events) for the timing log's throughput figures.
-    assert!(suite.timings.iter().all(|(_, _, cycles, _, _)| *cycles > 0));
-    assert!(suite.timings.iter().all(|(_, _, _, events, _)| *events > 0));
+    let runs = run_cells(Suite::cells(&plan, &modes, |c| c), &plan, 4, None, |_| {});
+    let labels: Vec<&str> = runs.iter().map(|r| r.label.as_str()).collect();
+    // Every suite cell is a real simulation, so every one must carry a
+    // wall-time reading, a non-zero simulated-cycle count and some
+    // delivered memory completion events for the timing log.
+    assert!(runs.iter().all(|r| r.seconds > 0.0 && !r.reused));
+    assert!(runs.iter().all(|r| r.result.runtime_cycles > 0));
+    assert!(runs.iter().all(|r| r.result.mem_events > 0));
     let first_bench = cgct_workloads::all_benchmarks()[0].name;
     assert_eq!(labels[0], format!("{first_bench}/baseline#s5"));
     assert_eq!(labels[1], format!("{first_bench}/baseline#s6"));
@@ -119,17 +116,17 @@ fn observer_sees_every_item_exactly_once() {
     let plan = tiny_plan();
     let modes = tiny_modes();
     let seen = AtomicUsize::new(0);
-    let suite = Suite::run_configured(
-        plan,
-        &modes,
-        |c| c,
+    let runs = run_cells(
+        Suite::cells(&plan, &modes, |c| c),
+        &plan,
         3,
+        None,
         |report| {
             seen.fetch_add(1, Ordering::SeqCst);
             assert!(report.done >= 1 && report.done <= report.total);
         },
     );
-    assert_eq!(seen.load(Ordering::SeqCst), suite.timings.len());
+    assert_eq!(seen.load(Ordering::SeqCst), runs.len());
 }
 
 #[test]

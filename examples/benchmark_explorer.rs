@@ -84,12 +84,9 @@ fn main() {
     if runs > 1 {
         // Multi-seed mode: fan the perturbed runs out across the pool
         // and report mean ± 95% CI instead of one run's detail.
-        println!(
-            "averaging {} perturbed seeds on {} worker(s)",
-            runs,
-            cgct_sim::pool::jobs()
-        );
-        let agg = run_averaged(&cfg, &spec, &plan);
+        let jobs = cgct_sim::pool::jobs();
+        println!("averaging {runs} perturbed seeds on {jobs} worker(s)");
+        let agg = run_averaged(&cfg, &spec, &plan, jobs);
         let rt = agg.runtime.confidence_interval_95();
         println!();
         println!(

@@ -10,13 +10,13 @@
 # events/sec, and the tracing overhead ratio.
 #
 # The plain legs reuse repeated cells in-process; the traced legs must
-# simulate every cell. So the overhead ratio compares wall time per
-# simulated cycle, (traced_ms / traced_cycles) / (plain_ms /
-# plain_cycles), with cycles read from each leg's timing.json (which
-# counts only simulated cells). The gate is the median of the five
-# pairs' ratios: above 1.25 fails the run. It is only reported if the
-# artifacts are byte-identical, so that it is the cost of simulating
-# the *same* machine trajectories.
+# simulate every cell. So the overhead ratio is like for like: the
+# rows of the two legs' timing.json files are matched by label, and
+# the traced leg's summed cell seconds are divided by the plain leg's
+# over the cells both legs simulated. Every simulated cell has a row.
+# The gate is the median of the five pairs' ratios: above 1.25 fails
+# the run. It is only reported if the artifacts are byte-identical, so
+# that it is the cost of simulating the *same* machine trajectories.
 #
 # Usage: scripts/bench.sh [output.json]
 #   CGCT_BENCH_CMD=fig7  restrict to one command (default: all)
@@ -53,6 +53,28 @@ total_of() { # $1 = leg tag, $2 = timing.json total field
     echo "${n:-0}"
 }
 
+cells_of() { # $1 = leg tag; prints "label<TAB>seconds<TAB>reused" per cell row
+    awk '
+        /"label": / { label = $0; sub(/^[^:]*: "/, "", label); sub(/",?$/, "", label) }
+        /"seconds": / { secs = $2; sub(/,$/, "", secs) }
+        /"reused": / { reused = $2; sub(/,$/, "", reused); print label "\t" secs "\t" reused }
+    ' "$workdir/$1/timing.json"
+}
+
+like_for_like() { # $1 = plain leg, $2 = traced leg
+    # Prints "cells plain_seconds traced_seconds ratio_x1000" over the
+    # cells both legs simulated; fails unless every cell the plain leg
+    # simulated has a simulated row in the traced leg.
+    awk -F'\t' '
+        NR == FNR { if ($3 == "false") { plain[$1] = $2; want++ } next }
+        ($1 in plain) && $3 == "false" { p += plain[$1]; t += $2; n++ }
+        END {
+            if (n == 0 || n != want) exit 1
+            printf "%d %.3f %.3f %d\n", n, p, t, (p > 0 ? t * 1000 / p : 0)
+        }
+    ' <(cells_of "$1") <(cells_of "$2")
+}
+
 same_artifacts() { # $1 = leg tag; compares against plain1
     local ok=true f name
     for f in "$workdir"/plain1/*.json; do
@@ -86,15 +108,15 @@ for i in $(seq 1 "$pairs"); do
     echo "== pair $i/$pairs: $cmd --quick, plain then traced (CGCT_JOBS=1) =="
     p_ms=$(run_mode "plain$i")
     t_ms=$(CGCT_TRACE=1 run_mode "traced$i")
-    p_cycles=$(total_of "plain$i" total_sim_cycles)
-    t_cycles=$(total_of "traced$i" total_sim_cycles)
     same_artifacts "traced$i" || identical=false
     if [ "$i" -gt 1 ]; then
         same_artifacts "plain$i" || identical=false
     fi
-    # Fixed-point arithmetic (no bc in the image): x1000 for three decimals.
-    ratio=$(( t_ms * p_cycles * 1000 / ((p_ms > 0 ? p_ms : 1) * (t_cycles > 0 ? t_cycles : 1)) ))
-    echo "   plain ${p_ms} ms (${p_cycles} cycles), traced ${t_ms} ms (${t_cycles} cycles), per-cycle ratio $(milli "$ratio")"
+    if ! read -r cells p_secs t_secs ratio < <(like_for_like "plain$i" "traced$i"); then
+        echo "bench.sh: FAILED — traced$i has no row for a cell plain$i simulated" >&2
+        exit 1
+    fi
+    echo "   plain ${p_ms} ms, traced ${t_ms} ms; over the ${cells} cells both simulated: plain ${p_secs} s, traced ${t_secs} s, ratio $(milli "$ratio")"
     plain_walls+=("$p_ms")
     traced_walls+=("$t_ms")
     ratios+=("$ratio")
@@ -116,8 +138,8 @@ mem_events=$(total_of plain1 total_mem_events)
 skip_cps=$(( sim_cycles * 1000 / (plain_ms > 0 ? plain_ms : 1) ))
 skip_eps=$(( mem_events * 1000 / (plain_ms > 0 ? plain_ms : 1) ))
 
-# Gate: recording trace events may cost at most 25% per simulated
-# cycle. The median of five alternating pairs keeps one slow leg on a
+# Gate: recording trace events may cost at most 25% of the time to
+# simulate the same cells. The median of five alternating pairs keeps one slow leg on a
 # shared host from deciding the outcome.
 if [ "$trace_overhead_milli" -gt 1250 ]; then
     echo "bench.sh: FAILED — tracing overhead $((trace_overhead_milli / 10 - 100))% exceeds the 25% budget" >&2

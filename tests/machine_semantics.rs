@@ -86,7 +86,7 @@ fn run_averaged_confidence_interval_brackets_each_run() {
         runs: 3,
         base_seed: 1,
     };
-    let agg = run_averaged(&config, &spec, &plan);
+    let agg = run_averaged(&config, &spec, &plan, 2);
     let ci = agg.runtime.confidence_interval_95();
     assert!(ci.contains(agg.runtime.mean()));
     assert!(agg.runtime.min() >= ci.low - 1.0 || agg.runtime.max() <= ci.high + 1.0);
