@@ -5,14 +5,14 @@
 //! [`Suite::from_results`] folds them, and the `fig*` functions and
 //! [`rca_stats`] derive each figure's data from a folded suite. The
 //! cells in between run through the one cell path,
-//! [`crate::runner::run_cells`] — in [`Suite::run`] here, and in the
-//! `cgct-bench` crate's `experiments` binary, which also times every
-//! cell, reuses repeated ones and writes `EXPERIMENTS.md`. Rendering to
-//! tables lives in [`crate::report`].
+//! [`crate::runner::run_cells`]; the `cgct-bench` crate's `experiments`
+//! binary runs them there, times every cell, reuses repeated ones and
+//! writes `EXPERIMENTS.md`. Rendering to tables lives in
+//! [`crate::report`].
 
 use crate::config::{CoherenceMode, SystemConfig};
 use crate::machine::RunResult;
-use crate::runner::{run_cells, AggregateResult, RunPlan, WorkItem};
+use crate::runner::{AggregateResult, RunPlan, WorkItem};
 use cgct_sim::ConfidenceInterval;
 use cgct_workloads::{all_benchmarks, commercial_names};
 use std::collections::BTreeMap;
@@ -107,18 +107,6 @@ impl Suite {
             results: grouped,
             plan,
         }
-    }
-
-    /// Runs the suite's cells on `jobs` workers (no reuse) and folds
-    /// them.
-    pub fn run(
-        plan: RunPlan,
-        modes: &[CoherenceMode],
-        adjust: impl Fn(SystemConfig) -> SystemConfig,
-        jobs: usize,
-    ) -> Suite {
-        let runs = run_cells(Self::cells(&plan, modes, adjust), &plan, jobs, None, |_| {});
-        Self::from_results(plan, modes, runs.into_iter().map(|r| r.result).collect())
     }
 
     /// The aggregated result for `(benchmark, mode_label)`.
@@ -541,6 +529,7 @@ impl ToJson for RcaStatsRow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_cells;
 
     fn tiny_suite() -> Suite {
         let plan = RunPlan {
@@ -552,18 +541,15 @@ mod tests {
         };
         // Restrict to two modes to keep the test fast; benchmarks are all
         // nine but with very short runs.
-        Suite::run(
-            plan,
-            &[
-                CoherenceMode::Baseline,
-                CoherenceMode::Cgct {
-                    region_bytes: 512,
-                    sets: 8192,
-                },
-            ],
-            |c| c,
-            2,
-        )
+        let modes = [
+            CoherenceMode::Baseline,
+            CoherenceMode::Cgct {
+                region_bytes: 512,
+                sets: 8192,
+            },
+        ];
+        let runs = run_cells(Suite::cells(&plan, &modes, |c| c), &plan, 2, None, |_| {});
+        Suite::from_results(plan, &modes, runs.into_iter().map(|r| r.result).collect())
     }
 
     #[test]

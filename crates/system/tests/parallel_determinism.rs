@@ -9,6 +9,12 @@ use cgct_sim::pool;
 use cgct_system::experiments::Suite;
 use cgct_system::{run_cells, CoherenceMode, RunPlan};
 
+/// The suite of `modes` under `plan`, its cells run on `jobs` workers.
+fn suite(plan: RunPlan, modes: &[CoherenceMode], jobs: usize) -> Suite {
+    let runs = run_cells(Suite::cells(&plan, modes, |c| c), &plan, jobs, None, |_| {});
+    Suite::from_results(plan, modes, runs.into_iter().map(|r| r.result).collect())
+}
+
 fn tiny_plan() -> RunPlan {
     RunPlan {
         warmup_per_core: 0,
@@ -51,9 +57,9 @@ fn fingerprint(suite: &Suite) -> Vec<(String, String, Vec<u64>)> {
 fn worker_count_never_changes_results() {
     let plan = tiny_plan();
     let modes = tiny_modes();
-    let serial = Suite::run(plan, &modes, |c| c, 1);
-    let two = Suite::run(plan, &modes, |c| c, 2);
-    let eight = Suite::run(plan, &modes, |c| c, 8);
+    let serial = suite(plan, &modes, 1);
+    let two = suite(plan, &modes, 2);
+    let eight = suite(plan, &modes, 8);
 
     let want = fingerprint(&serial);
     assert!(!want.is_empty());
@@ -78,8 +84,8 @@ fn worker_count_never_changes_results_for_directory_modes() {
             sets: 8192,
         },
     ];
-    let serial = Suite::run(plan, &modes, |c| c, 1);
-    let four = Suite::run(plan, &modes, |c| c, 4);
+    let serial = suite(plan, &modes, 1);
+    let four = suite(plan, &modes, 4);
 
     let want = fingerprint(&serial);
     assert!(!want.is_empty());
