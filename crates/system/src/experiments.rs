@@ -90,11 +90,17 @@ impl Suite {
     ///
     /// # Panics
     ///
-    /// Panics if `results` is shorter than the suite's cell list.
+    /// Panics if `results` is not one result per cell of the suite.
     pub fn from_results(plan: RunPlan, modes: &[CoherenceMode], results: Vec<RunResult>) -> Suite {
+        let benchmarks = all_benchmarks();
+        assert_eq!(
+            results.len(),
+            benchmarks.len() * modes.len() * plan.runs as usize,
+            "one result per suite cell"
+        );
         let mut chunks = results.into_iter();
         let mut grouped = BTreeMap::new();
-        for spec in all_benchmarks() {
+        for spec in benchmarks {
             for mode in modes {
                 let group: Vec<_> = (&mut chunks).take(plan.runs as usize).collect();
                 grouped.insert(
@@ -586,6 +592,12 @@ mod tests {
         let runs = run_cells(cells, &suite.plan, 2, None, |_| {});
         let rs = rca_stats(&suite.plan, runs.into_iter().map(|r| r.result).collect());
         assert_eq!(rs.len(), 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "one result per suite cell")]
+    fn suite_fold_rejects_a_short_result_list() {
+        let _ = Suite::from_results(RunPlan::smoke(), &[CoherenceMode::Baseline], Vec::new());
     }
 
     #[test]
